@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, then the whole suite again under
+# CI entry point: release build + tests, the comm suite under
+# AddressSanitizer + UBSan, then the whole suite again under
 # ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes, so
 # TSan is the check that actually matters for the comm layer — in
 # particular the nonblocking request path that overlaps stage-2 gradient
@@ -153,6 +154,14 @@ serve_completed=$(sed -n 's/.*"completed": \([0-9]*\).*/\1/p' \
   build/smoke_serve.json.report.json)
 test "${serve_offered}" -gt 100
 test "${serve_completed}" -eq "${serve_offered}"
+
+echo "==> asan: comm suite under AddressSanitizer + UBSan"
+# The ring machines, the p2p request layer and the qwZ wire format under
+# the asan preset. halt_on_error makes the first UBSan report fail the
+# run (ASan already aborts on its first report).
+cmake --preset asan >/dev/null
+cmake --build --preset asan --target test_comm -j "${JOBS}"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_comm
 
 echo "==> tsan: configure + build + ctest"
 cmake --preset tsan >/dev/null

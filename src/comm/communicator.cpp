@@ -199,7 +199,7 @@ void CommRequest::Complete(std::vector<std::byte> msg) {
              "IsRecv size mismatch: expected " +
                  std::to_string(state_->out.size()) + ", got " +
                  std::to_string(msg.size()));
-  std::memcpy(state_->out.data(), msg.data(), msg.size());
+  if (!msg.empty()) std::memcpy(state_->out.data(), msg.data(), msg.size());
   state_->done = true;
 }
 
@@ -255,27 +255,6 @@ std::pair<std::size_t, std::size_t> Communicator::ChunkRange(
   const std::size_t begin = i * base + std::min(i, rem);
   const std::size_t len = base + (i < rem ? 1 : 0);
   return {begin, begin + len};
-}
-
-void Communicator::RingBroadcast(std::span<std::byte> data, int root,
-                                 std::uint64_t seq) {
-  const int p = size();
-  // Pipeline the message in p chunks around the ring rooted at `root`.
-  // Position q = distance from root along the ring.
-  const int q = Distance(root, rank());
-  for (int c = 0; c < p; ++c) {
-    auto [b, e] = ChunkRange(data.size(), c);
-    if (e == b) continue;
-    std::span<std::byte> chunk = data.subspan(b, e - b);
-    if (q != 0) {
-      Recv(Prev(), chunk, seq + static_cast<std::uint64_t>(c));
-    }
-    if (q != p - 1) {
-      Send(Next(), std::span<const std::byte>(chunk),
-           seq + static_cast<std::uint64_t>(c));
-    }
-  }
-  ++stats_.collectives;
 }
 
 }  // namespace zero::comm

@@ -1,7 +1,7 @@
 #include "core/stages/full_param_strategy.hpp"
 
 #include <cstring>
-#include "comm/nonblocking_collectives.hpp"
+#include "comm/quant_collectives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/kernels.hpp"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "comm/nonblocking_collectives.hpp"
+#include "comm/quant_collectives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/kernels.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "comm/quant_collectives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 

@@ -1,6 +1,7 @@
 #include "core/stages/pos_g_p_strategy.hpp"
 
 #include <cstring>
+#include "comm/quant_collectives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/kernels.hpp"

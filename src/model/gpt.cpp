@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "comm/nonblocking_collectives.hpp"
 #include "common/error.hpp"
 #include "model/serving_weights.hpp"
 #include "tensor/kernels.hpp"
@@ -815,16 +814,13 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
       }
     }
 
-    // Attention output projection (row-parallel) + MP all-reduce #1. The
-    // nonblocking launcher is bit-identical to the blocking twin.
+    // Attention output projection (row-parallel) + MP all-reduce #1.
     Tensor x_mid = NewAct({n, h});
     {
       Tensor o = NewAct({n, h});
       access.WeightGemm(unit, lo_.w_o, n, h, hm, 1.0f, ctxp, 0.0f,
                         o.f32().data());
-      if (session_.mp != nullptr && session_.mp->size() > 1) {
-        comm::IAllReduce(*session_.mp, o.f32(), comm::ReduceOp::kSum).Wait();
-      }
+      MpAllReduce(o.f32().data(), n * h);
       K::AddBiasRows(o.f32().data(), access.Vec(unit, lo_.b_o), n, h);
       const float* ov = o.f32().data();
       const float* xp = x.f32().data();
@@ -853,9 +849,7 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
       Tensor p = NewAct({n, h});
       access.WeightGemm(unit, lo_.w_pr, n, h, im, 1.0f, f.f32().data(), 0.0f,
                         p.f32().data());
-      if (session_.mp != nullptr && session_.mp->size() > 1) {
-        comm::IAllReduce(*session_.mp, p.f32(), comm::ReduceOp::kSum).Wait();
-      }
+      MpAllReduce(p.f32().data(), n * h);
       K::AddBiasRows(p.f32().data(), access.Vec(unit, lo_.b_pr), n, h);
       const float* pv = p.f32().data();
       const float* xm = x_mid.f32().data();

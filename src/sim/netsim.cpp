@@ -93,8 +93,8 @@ double NetworkSimulator::RingAllReduce(const std::vector<int>& members,
   return RingReduceScatter(members, bytes) + RingAllGather(members, bytes);
 }
 
-double NetworkSimulator::RingBroadcast(const std::vector<int>& members,
-                                       double bytes) const {
+double NetworkSimulator::PipelinedBroadcast(
+    const std::vector<int>& members, double bytes) const {
   // Pipelined in p chunks: p-1 + p-1 overlapping steps; bounded below by
   // one full message over the slowest hop. Model as p steps of one
   // chunk each plus pipeline fill.

@@ -63,8 +63,8 @@ class NetworkSimulator {
                                      double bytes) const;
   [[nodiscard]] double RingAllReduce(const std::vector<int>& members,
                                      double bytes) const;
-  [[nodiscard]] double RingBroadcast(const std::vector<int>& members,
-                                     double bytes) const;
+  [[nodiscard]] double PipelinedBroadcast(const std::vector<int>& members,
+                                          double bytes) const;
 
   // `concurrent` identical ring all-reduces running at once (e.g. the Nd
   // data-parallel rings of an MP x DP grid, one per MP rank): returns

@@ -148,23 +148,34 @@ void DecodeBlock(const std::int8_t* codes, std::int64_t len, float s,
   }
 }
 
+// The wire image may start at any byte offset (the qwZ all-gather packs
+// per-rank slots back to back), so the fp16 scales are moved as 16-bit
+// patterns through memcpy rather than accessed as Half objects.
 struct WireView {
-  Half* scales;
+  std::byte* scales;
   std::int8_t* codes;
 };
 WireView ViewWire(std::byte* wire, std::int64_t n, std::int64_t block) {
-  return {reinterpret_cast<Half*>(wire),
+  return {wire,
           reinterpret_cast<std::int8_t*>(wire + 2 * QuantBlocks(n, block))};
 }
 struct ConstWireView {
-  const Half* scales;
+  const std::byte* scales;
   const std::int8_t* codes;
 };
 ConstWireView ViewWire(const std::byte* wire, std::int64_t n,
                        std::int64_t block) {
-  return {reinterpret_cast<const Half*>(wire),
+  return {wire,
           reinterpret_cast<const std::int8_t*>(wire +
                                                2 * QuantBlocks(n, block))};
+}
+void StoreScale(std::byte* scales, std::int64_t b, std::uint16_t bits) {
+  std::memcpy(scales + 2 * b, &bits, sizeof(bits));
+}
+float LoadScale(const std::byte* scales, std::int64_t b) {
+  std::uint16_t bits = 0;
+  std::memcpy(&bits, scales + 2 * b, sizeof(bits));
+  return Half::FromBits(bits).ToFloat();
 }
 
 void CheckShape(std::int64_t n, std::int64_t block) {
@@ -183,7 +194,7 @@ void QuantizeF32Impl(const float* src, std::int64_t n, std::int64_t block,
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
     const BlockClass c = ClassifyBlock(src + off, len);
-    w.scales[b] = Half::FromBits(c.bits);
+    StoreScale(w.scales, b, c.bits);
     switch (c.kind) {
       case BlockClass::kZero:
         std::memset(w.codes + off, 0, static_cast<std::size_t>(len));
@@ -207,7 +218,7 @@ void DequantizeF32Impl(const std::byte* wire, std::int64_t n,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    DecodeBlock<kAdd>(w.codes + off, len, w.scales[b].ToFloat(), dst + off);
+    DecodeBlock<kAdd>(w.codes + off, len, LoadScale(w.scales, b), dst + off);
   }
 }
 
@@ -243,7 +254,7 @@ void QuantizeHalf(const Half* src, std::int64_t n, std::int64_t block,
     const std::int64_t len = std::min(block, n - off);
     CastHalfToFloat(src + off, buf, len);
     const BlockClass c = ClassifyBlock(buf, len);
-    w.scales[b] = Half::FromBits(c.bits);
+    StoreScale(w.scales, b, c.bits);
     switch (c.kind) {
       case BlockClass::kZero:
         std::memset(w.codes + off, 0, static_cast<std::size_t>(len));
@@ -268,7 +279,7 @@ void DequantizeHalf(const std::byte* wire, std::int64_t n, std::int64_t block,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    const float s = w.scales[b].ToFloat();
+    const float s = LoadScale(w.scales, b);
     DecodeBlock<false>(w.codes + off, len, s, buf);
     // The fp16 scale rounds amax/127 either way, so 127*s can exceed the
     // largest finite fp16 (65504) by up to half a scale ulp and the
@@ -339,7 +350,7 @@ void QuantizeF32Scalar(const float* src, std::int64_t n, std::int64_t block,
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
     const BlockClass c = ClassifyBlockScalar(src + off, len);
-    w.scales[b] = Half::FromBits(c.bits);
+    StoreScale(w.scales, b, c.bits);
     if (c.kind == BlockClass::kZero) {
       std::memset(w.codes + off, 0, static_cast<std::size_t>(len));
     } else if (c.kind == BlockClass::kPoison) {
@@ -363,7 +374,7 @@ void DequantizeF32Scalar(const std::byte* wire, std::int64_t n,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    const float s = w.scales[b].ToFloat();
+    const float s = LoadScale(w.scales, b);
     for (std::int64_t i = 0; i < len; ++i) {
       dst[off + i] = static_cast<float>(w.codes[off + i]) * s;
     }
@@ -378,7 +389,7 @@ void DequantizeAddF32Scalar(const std::byte* wire, std::int64_t n,
   for (std::int64_t b = 0; b < blocks; ++b) {
     const std::int64_t off = b * block;
     const std::int64_t len = std::min(block, n - off);
-    const float s = w.scales[b].ToFloat();
+    const float s = LoadScale(w.scales, b);
     for (std::int64_t i = 0; i < len; ++i) {
       dst[off + i] = dst[off + i] + static_cast<float>(w.codes[off + i]) * s;
     }

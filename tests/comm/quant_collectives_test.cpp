@@ -9,7 +9,7 @@
 #include <limits>
 #include <vector>
 
-#include "comm/nonblocking_collectives.hpp"
+#include "comm/quant_collectives.hpp"
 #include "comm/world.hpp"
 #include "common/half.hpp"
 #include "common/rng.hpp"
