@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, the comm suite under
+# CI entry point: release build + tests, the comm and obs suites under
 # AddressSanitizer + UBSan, then the whole suite again under
 # ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes, so
 # TSan is the check that actually matters for the comm layer — in
@@ -86,19 +86,19 @@ echo "==> bench: serving load gate (release build)"
 ./build/bench/serve_load BENCH_serve.json
 
 echo "==> smoke: 2-rank stage-3 run with telemetry artifacts"
-# End-to-end telemetry check: the run must produce a valid Chrome trace,
-# a valid merged cross-rank timeline, per-step metrics, and a step
-# report whose measured memory/comm match the paper equations (the
-# trainer logs divergences; the report JSON's "ok" field is asserted
-# below).
+# End-to-end telemetry check: the run must produce a valid Chrome trace
+# that is the merged cross-rank timeline (it carries the clock-skew map),
+# per-step metrics, and a step report whose measured memory/comm match
+# the paper equations (the trainer logs divergences; the report JSON's
+# "ok" field is asserted below).
 rm -f build/smoke_trace.json build/smoke_trace.json.metrics.json \
-  build/smoke_trace.json.report.json build/smoke_trace.json.timeline.json
+  build/smoke_trace.json.report.json
 # ZERO_PREFETCH=2 exercises the stage-3 prefetch pipeline end to end;
 # the report's paper-equation checks must still pass with it on.
 ZERO_TRACE=build/smoke_trace.json ZERO_PREFETCH=2 \
   ./build/examples/train_gpt_mini 3 2 1 3
-./build/bench/trace_validate build/smoke_trace.json \
-  build/smoke_trace.json.timeline.json
+./build/bench/trace_validate build/smoke_trace.json
+grep -q '"clockSkewNs"' build/smoke_trace.json
 test -s build/smoke_trace.json.metrics.json
 # Top-level "ok" (indent 2) — the per-check ok fields are indented deeper.
 grep -q '^  "ok": true' build/smoke_trace.json.report.json
@@ -155,13 +155,16 @@ serve_completed=$(sed -n 's/.*"completed": \([0-9]*\).*/\1/p' \
 test "${serve_offered}" -gt 100
 test "${serve_completed}" -eq "${serve_offered}"
 
-echo "==> asan: comm suite under AddressSanitizer + UBSan"
-# The ring machines, the p2p request layer and the qwZ wire format under
-# the asan preset. halt_on_error makes the first UBSan report fail the
+echo "==> asan: comm + obs suites under AddressSanitizer + UBSan"
+# The ring machines, the p2p request layer and the qwZ wire format, then
+# the telemetry layer (trace rings, metrics registries, the Chrome
+# serializer and the flight recorder) under the asan preset, with
+# LeakSanitizer on. halt_on_error makes the first UBSan report fail the
 # run (ASan already aborts on its first report).
 cmake --preset asan >/dev/null
-cmake --build --preset asan --target test_comm -j "${JOBS}"
+cmake --build --preset asan --target test_comm test_obs -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_comm
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_obs
 
 echo "==> tsan: configure + build + ctest"
 cmake --preset tsan >/dev/null

@@ -22,13 +22,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 
 #include "comm/communicator.hpp"
 #include "comm/world.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "serve/engine.hpp"
 #include "serve/server.hpp"
@@ -159,16 +159,19 @@ int main(int argc, char** argv) {
               summary.ttft_p99_ms, summary.e2e_p50_ms, summary.e2e_p99_ms,
               summary.kv_blocks_peak, summary.kv_blocks_total);
 
+  bool artifacts_ok = true;
   if (telemetry.enabled) {
     obs::DisableTracing();
     if (!telemetry.trace_path.empty()) {
-      obs::WriteChromeTraceFile(telemetry.trace_path);
+      artifacts_ok &= obs::WriteTextFile(
+          telemetry.trace_path,
+          obs::ChromeTraceJson(obs::BuildTimeline(obs::CollectEvents())));
       std::printf("\ntrace: %s (load in ui.perfetto.dev)\n",
                   telemetry.trace_path.c_str());
     }
     if (!telemetry.report_path.empty()) {
-      std::ofstream f(telemetry.report_path, std::ios::trunc);
-      f << summary.ToJson();
+      artifacts_ok &=
+          obs::WriteTextFile(telemetry.report_path, summary.ToJson());
       std::printf("report: %s\n", telemetry.report_path.c_str());
     }
   } else {
@@ -176,5 +179,5 @@ int main(int argc, char** argv) {
                 "trace; ZERO_SERVE_SEED replays a different traffic "
                 "sample)\n");
   }
-  return summary.completed > 0 ? 0 : 1;
+  return summary.completed > 0 && artifacts_ok ? 0 : 1;
 }

@@ -88,12 +88,11 @@ int main(int argc, char** argv) {
   if (telemetry.enabled) {
     telemetry.ResolvePaths();
     std::printf("\ntelemetry artifacts:\n");
-    std::printf("  trace   %s  (load in ui.perfetto.dev)\n",
+    std::printf("  trace   %s  (merged cross-rank timeline; load in "
+                "ui.perfetto.dev)\n",
                 telemetry.trace_path.c_str());
     std::printf("  metrics %s\n", telemetry.metrics_path.c_str());
     std::printf("  report  %s\n", telemetry.report_path.c_str());
-    std::printf("  merged  %s  (cross-rank timeline, multi-pid)\n",
-                telemetry.timeline_path.c_str());
     if (result.report.has_value()) {
       std::printf("  %s\n", result.report->Summary().c_str());
       const obs::StepReportInputs& in = result.report->inputs;

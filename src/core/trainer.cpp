@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 
 #include "common/logging.hpp"
@@ -15,6 +14,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
@@ -406,36 +406,21 @@ TrainResult TrainGpt(const TrainOptions& options) {
 
   if (telemetry.enabled) {
     obs::DisableTracing();
-    if (!telemetry.trace_path.empty()) {
-      obs::WriteChromeTraceFile(telemetry.trace_path);
-    }
-    // Merged cross-rank view: built once, feeds both the timeline
-    // artifact and the critical-path anatomy in the report.
+    // Merged cross-rank view: built once, feeds both the trace artifact
+    // and the critical-path anatomy in the report.
     const obs::Timeline timeline = obs::BuildTimeline(obs::CollectEvents());
-    if (!telemetry.timeline_path.empty()) {
-      std::ofstream f(telemetry.timeline_path,
-                      std::ios::binary | std::ios::trunc);
-      if (f) {
-        f << obs::TimelineChromeJson(timeline);
-      } else {
-        ZLOG_ERROR << "cannot open timeline output "
-                   << telemetry.timeline_path;
-      }
+    if (!telemetry.trace_path.empty()) {
+      obs::WriteTextFile(telemetry.trace_path, obs::ChromeTraceJson(timeline));
     }
     if (!telemetry.metrics_path.empty() && !step_metric_snapshots.empty()) {
-      std::ofstream f(telemetry.metrics_path,
-                      std::ios::binary | std::ios::trunc);
-      if (f) {
-        f << "[\n";
-        for (std::size_t i = 0; i < step_metric_snapshots.size(); ++i) {
-          f << step_metric_snapshots[i];
-          if (i + 1 < step_metric_snapshots.size()) f << ",";
-          f << "\n";
-        }
-        f << "]\n";
-      } else {
-        ZLOG_ERROR << "cannot open metrics output " << telemetry.metrics_path;
+      std::string text = "[\n";
+      for (std::size_t i = 0; i < step_metric_snapshots.size(); ++i) {
+        text += step_metric_snapshots[i];
+        if (i + 1 < step_metric_snapshots.size()) text += ",";
+        text += "\n";
       }
+      text += "]\n";
+      obs::WriteTextFile(telemetry.metrics_path, text);
     }
     if (!result.oom && comm_steps_measured > 0) {
       obs::StepReportInputs in;
@@ -499,13 +484,7 @@ TrainResult TrainGpt(const TrainOptions& options) {
         }
       }
       if (!telemetry.report_path.empty()) {
-        std::ofstream f(telemetry.report_path,
-                        std::ios::binary | std::ios::trunc);
-        if (f) {
-          f << report.ToJson() << "\n";
-        } else {
-          ZLOG_ERROR << "cannot open report output " << telemetry.report_path;
-        }
+        obs::WriteTextFile(telemetry.report_path, report.ToJson() + "\n");
       }
       result.report = std::move(report);
     }

@@ -1,23 +1,16 @@
 #include "obs/chrome_trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
-#include "common/logging.hpp"
 #include "obs/json.hpp"
 
 namespace zero::obs {
 
 namespace {
-
-struct FlatEvent {
-  const TraceEvent* e;
-  int pid;
-  int tid;
-};
 
 void AppendMicros(std::string& out, std::uint64_t ns) {
   char buf[40];
@@ -27,116 +20,7 @@ void AppendMicros(std::string& out, std::uint64_t ns) {
   out += buf;
 }
 
-}  // namespace
-
-std::string ChromeTraceJson(const std::vector<ThreadEvents>& threads) {
-  std::vector<FlatEvent> flat;
-  // pid -> process label; tid lanes are globally unique already.
-  std::map<int, std::string> processes;
-  std::map<int, std::pair<int, std::string>> lanes;  // tid -> (pid, name)
-  std::uint64_t dropped = 0;
-  for (const ThreadEvents& te : threads) {
-    dropped += te.dropped;
-    int lane_pid = 0;
-    for (const TraceEvent& e : te.events) {
-      const int pid = e.rank >= 0 ? e.rank + 1 : 0;
-      lane_pid = pid;  // last rank tag wins for the lane's home process
-      flat.push_back({&e, pid, te.tid});
-      auto [it, inserted] = processes.try_emplace(pid);
-      if (inserted) {
-        it->second =
-            pid == 0 ? "untagged" : "rank " + std::to_string(pid - 1);
-      }
-    }
-    if (!te.events.empty()) {
-      lanes[te.tid] = {lane_pid, te.name};
-    }
-  }
-  std::stable_sort(flat.begin(), flat.end(),
-                   [](const FlatEvent& a, const FlatEvent& b) {
-                     return a.e->start_ns < b.e->start_ns;
-                   });
-
-  // Hand-built output: event volume makes the generic json::Value dump
-  // needlessly slow, and the format is fixed anyway.
-  std::string out;
-  out.reserve(flat.size() * 96 + 1024);
-  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":";
-  out += std::to_string(dropped);
-  // Per-lane drop counts (nonzero lanes only): a truncated ring must be
-  // visible in the artifact, not silently absorbed into the total.
-  out += ",\"droppedByLane\":{";
-  bool dropped_first = true;
-  for (const ThreadEvents& te : threads) {
-    if (te.dropped == 0) continue;
-    if (!dropped_first) out += ',';
-    dropped_first = false;
-    out += '"';
-    out += std::to_string(te.tid);
-    out += "\":";
-    out += std::to_string(te.dropped);
-  }
-  out += "}},\"traceEvents\":[";
-  bool first = true;
-  auto comma = [&] {
-    if (!first) out += ',';
-    first = false;
-  };
-  for (const auto& [pid, name] : processes) {
-    comma();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    out += std::to_string(pid);
-    out += ",\"tid\":0,\"args\":{\"name\":\"";
-    out += json::Escape(name);
-    out += "\"}}";
-  }
-  for (const auto& [tid, lane] : lanes) {
-    comma();
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-    out += std::to_string(lane.first);
-    out += ",\"tid\":";
-    out += std::to_string(tid);
-    out += ",\"args\":{\"name\":\"";
-    out += json::Escape(lane.second);
-    out += "\"}}";
-  }
-  for (const FlatEvent& fe : flat) {
-    comma();
-    out += "{\"name\":\"";
-    out += json::Escape(fe.e->name);
-    out += "\",\"cat\":\"zero\",\"ph\":\"X\",\"ts\":";
-    AppendMicros(out, fe.e->start_ns);
-    out += ",\"dur\":";
-    AppendMicros(out, fe.e->dur_ns);
-    out += ",\"pid\":";
-    out += std::to_string(fe.pid);
-    out += ",\"tid\":";
-    out += std::to_string(fe.tid);
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
-bool WriteChromeTraceFile(const std::string& path) {
-  const std::string text = ChromeTraceJson(CollectEvents());
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    ZLOG_ERROR << "cannot open trace output " << path;
-    return false;
-  }
-  f << text;
-  f.flush();
-  if (!f) {
-    ZLOG_ERROR << "short write to trace output " << path;
-    return false;
-  }
-  ZLOG_INFO << "wrote chrome trace (" << TraceEventCount() << " events, "
-            << TraceDroppedCount() << " dropped) to " << path;
-  return true;
-}
-
-namespace {
+int PidFor(int rank) { return rank >= 0 ? rank + 1 : 0; }
 
 bool EventError(std::size_t index, const std::string& what,
                 std::string* error) {
@@ -147,6 +31,87 @@ bool EventError(std::size_t index, const std::string& what,
 }
 
 }  // namespace
+
+std::string ChromeTraceJson(const Timeline& timeline) {
+  // Hand-built output: event volume makes the generic json::Value dump
+  // needlessly slow, and the format is fixed anyway.
+  std::string out;
+  out.reserve(timeline.spans.size() * 96 + 2048);
+  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":";
+  out += std::to_string(timeline.dropped_events);
+  // Per-lane drop counts (nonzero lanes only): a truncated ring must be
+  // visible in the artifact, not silently absorbed into the total.
+  out += ",\"droppedByLane\":{";
+  bool first = true;
+  for (const auto& [tid, dropped] : timeline.dropped_by_tid) {
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += std::to_string(tid);
+    out += "\":";
+    out += std::to_string(dropped);
+  }
+  out += "},\"clockSkewNs\":{";
+  first = true;
+  for (const RankClock& c : timeline.clocks) {
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += std::to_string(c.rank);
+    out += "\":";
+    out += std::to_string(c.skew_ns);
+  }
+  out += "}},\"traceEvents\":[";
+  first = true;
+  auto comma = [&] {
+    if (!first) out += ',';
+    first = false;
+  };
+  // Process metadata: one pid per rank that actually recorded. Lane
+  // metadata: home pid = the last rank tag seen on the lane.
+  std::set<int> pids;
+  std::map<int, int> lane_pid;
+  for (const TimelineSpan& s : timeline.spans) {
+    pids.insert(PidFor(s.rank));
+    lane_pid[s.tid] = PidFor(s.rank);
+  }
+  for (int pid : pids) {
+    comma();
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+    out += std::to_string(pid);
+    out += ",\"tid\":0,\"args\":{\"name\":\"";
+    out += pid == 0 ? "untagged" : "rank " + std::to_string(pid - 1);
+    out += "\"}}";
+  }
+  for (const auto& [tid, name] : timeline.lane_names) {
+    auto it = lane_pid.find(tid);
+    if (it == lane_pid.end()) continue;
+    comma();
+    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+    out += std::to_string(it->second);
+    out += ",\"tid\":";
+    out += std::to_string(tid);
+    out += ",\"args\":{\"name\":\"";
+    out += json::Escape(name);
+    out += "\"}}";
+  }
+  for (const TimelineSpan& s : timeline.spans) {
+    comma();
+    out += "{\"name\":\"";
+    out += json::Escape(s.name);
+    out += "\",\"cat\":\"zero\",\"ph\":\"X\",\"ts\":";
+    AppendMicros(out, s.start_ns);
+    out += ",\"dur\":";
+    AppendMicros(out, s.dur_ns);
+    out += ",\"pid\":";
+    out += std::to_string(PidFor(s.rank));
+    out += ",\"tid\":";
+    out += std::to_string(s.tid);
+    out += '}';
+  }
+  out += "]}";
+  return out;
+}
 
 bool ValidateChromeTrace(const std::string& text, std::string* error) {
   json::Value root;

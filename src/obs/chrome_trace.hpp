@@ -1,30 +1,28 @@
-// Chrome trace_event JSON export of the trace recorder's buffers, plus a
-// strict validator for the emitted format (used by the trace tests and
-// the CI smoke gate, and runnable over any artifact via the
-// bench/trace_validate binary).
+// Chrome trace_event JSON export of the merged, skew-corrected Timeline
+// (obs/timeline.hpp), plus a strict validator for the emitted format
+// (used by the trace tests and the CI smoke gate, and runnable over any
+// artifact via the bench/trace_validate binary).
 //
 // Layout: one pid per rank (pid = rank + 1; untagged threads land in
 // pid 0), one tid per recording thread, "X" complete events with
 // microsecond timestamps sorted ascending, and "M" metadata events
-// naming each process ("rank N") and thread lane. The output loads
-// directly in chrome://tracing and https://ui.perfetto.dev.
+// naming each process ("rank N") and thread lane. otherData carries
+// droppedEvents, droppedByLane (nonzero lanes only) and clockSkewNs (the
+// per-rank offset subtracted from every span). The output loads directly
+// in chrome://tracing and https://ui.perfetto.dev.
+//
+// Every trace artifact goes through here:
+//   WriteTextFile(path, ChromeTraceJson(BuildTimeline(CollectEvents())))
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "obs/trace.hpp"
+#include "obs/timeline.hpp"
 
 namespace zero::obs {
 
-// Serializes `threads` (typically CollectEvents()) to a Chrome
-// trace_event JSON document.
-[[nodiscard]] std::string ChromeTraceJson(
-    const std::vector<ThreadEvents>& threads);
-
-// Convenience: CollectEvents() -> ChromeTraceJson -> `path`. Returns
-// false (and logs) when the file cannot be written.
-bool WriteChromeTraceFile(const std::string& path);
+// Serializes `timeline` to a Chrome trace_event JSON document.
+[[nodiscard]] std::string ChromeTraceJson(const Timeline& timeline);
 
 // Strict validation: `text` must parse as JSON (RFC 8259) and satisfy
 // the trace_event contract above — top-level object with a

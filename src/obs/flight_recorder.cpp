@@ -11,6 +11,7 @@
 #include "common/logging.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
@@ -28,14 +29,6 @@ struct Recorder {
 Recorder& TheRecorder() {
   static Recorder* r = new Recorder();
   return *r;
-}
-
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f << text;
-  f.flush();
-  return static_cast<bool>(f);
 }
 
 }  // namespace
@@ -106,8 +99,8 @@ std::string FlushFlightRecorder(const std::string& reason,
   const std::vector<ThreadEvents> threads = CollectEvents();
   const Timeline timeline = BuildTimeline(threads);
 
-  // Per-rank traces: each rank's events, keeping the global lane ids so
-  // the bundle cross-references the merged timeline.
+  // Per-rank traces: the timeline of each rank's events alone, keeping
+  // the global lane ids so the bundle cross-references the merged one.
   std::set<int> ranks;
   for (const ThreadEvents& te : threads) {
     for (const TraceEvent& e : te.events) {
@@ -129,10 +122,11 @@ std::string FlushFlightRecorder(const std::string& reason,
       if (!filtered.events.empty()) mine.push_back(std::move(filtered));
     }
     const std::string file = "rank-" + std::to_string(rank) + ".trace.json";
-    io_ok &= WriteFile(dir + "/" + file, ChromeTraceJson(mine));
+    io_ok &= WriteTextFile(dir + "/" + file,
+                           ChromeTraceJson(BuildTimeline(mine)));
     rank_traces.Append(json::Value(file));
   }
-  io_ok &= WriteFile(dir + "/timeline.json", TimelineChromeJson(timeline));
+  io_ok &= WriteTextFile(dir + "/timeline.json", ChromeTraceJson(timeline));
 
   json::Value manifest = json::Value::MakeObject();
   manifest.Set("reason", json::Value(reason));
@@ -161,12 +155,9 @@ std::string FlushFlightRecorder(const std::string& reason,
     snaps.Append(std::move(entry));
   }
   manifest.Set("snapshots", std::move(snaps));
-  io_ok &= WriteFile(dir + "/manifest.json", manifest.Dump(2) + "\n");
+  io_ok &= WriteTextFile(dir + "/manifest.json", manifest.Dump(2) + "\n");
 
-  if (!io_ok) {
-    ZLOG_ERROR << "flight recorder: short write into " << dir;
-    return "";
-  }
+  if (!io_ok) return "";
   ZLOG_INFO << "flight recorder: post-mortem bundle (" << ranks.size()
             << " ranks, " << snapshots.size() << " snapshots) in " << dir;
   return dir;

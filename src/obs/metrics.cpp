@@ -79,7 +79,7 @@ void Histogram::Reset() {
 
 // std::map keeps snapshot key order deterministic; unique_ptr values are
 // never erased, so handles returned to instrument sites stay valid for
-// the life of the process.
+// the life of the registry.
 struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
@@ -92,9 +92,12 @@ struct MetricsRegistry::Impl {
   }
 };
 
+MetricsRegistry::MetricsRegistry() = default;
+MetricsRegistry::~MetricsRegistry() = default;
+
 MetricsRegistry::Impl& MetricsRegistry::impl() const {
   std::lock_guard<std::mutex> lock(impl_mutex_);
-  if (impl_ == nullptr) impl_ = new Impl();  // leaked: handles never die
+  if (impl_ == nullptr) impl_ = std::make_unique<Impl>();
   return *impl_;
 }
 

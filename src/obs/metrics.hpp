@@ -2,8 +2,8 @@
 // snapshotted per training step and dumpable as JSON.
 //
 // Instrument sites fetch a handle once (typically a function-local
-// static — handles are never invalidated; ResetValues zeroes values but
-// keeps every instance alive) and then update it lock-free:
+// static — Metrics() handles are never invalidated; ResetValues zeroes
+// values but keeps every instance alive) and then update it lock-free:
 //
 //   static obs::Counter& hits = obs::Metrics().counter("alloc.cache.hits");
 //   hits.Add();
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -94,8 +95,10 @@ class Histogram {
 class MetricsRegistry {
  public:
   // Constructible so tests and tools can hold private registries; the
-  // runtime's instrument sites all aggregate into Metrics().
-  MetricsRegistry() = default;
+  // runtime's instrument sites all aggregate into Metrics(). A private
+  // registry's handles die with it; the process-wide one never dies.
+  MetricsRegistry();
+  ~MetricsRegistry();
 
   // Fetches (creating on first use) the named metric. A name is bound to
   // one metric kind for the life of the process; asking for the same
@@ -124,7 +127,7 @@ class MetricsRegistry {
  private:
   struct Impl;
   [[nodiscard]] Impl& impl() const;
-  mutable Impl* impl_ = nullptr;
+  mutable std::unique_ptr<Impl> impl_;
   mutable std::mutex impl_mutex_;
 };
 

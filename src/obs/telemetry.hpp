@@ -4,17 +4,18 @@
 //
 // Environment activation: setting ZERO_TRACE=/path/to/trace.json turns
 // telemetry on for any binary that consults FromEnv (the trainer and the
-// examples do). The metrics snapshot, step report and merged timeline
-// derive their paths from the trace path unless overridden:
+// examples do). The trace itself is the merged, skew-corrected
+// cross-rank timeline (obs/chrome_trace.hpp); the metrics snapshot and
+// step report derive their paths from the trace path unless overridden:
 //   <trace>.metrics.json    per-step metrics registry snapshots
 //   <trace>.report.json     paper-equation step report
-//   <trace>.timeline.json   skew-corrected cross-rank timeline
 // ZERO_POSTMORTEM=/path/to/dir independently arms the flight recorder
 // (obs/flight_recorder.hpp): a faulted run flushes a post-mortem bundle
 // there even when ZERO_TRACE is unset.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace zero::obs {
 
@@ -31,9 +32,6 @@ struct TelemetryOptions {
 
   // Step report JSON with measured-vs-analytic checks ("" = derive).
   std::string report_path;
-
-  // Merged multi-pid cross-rank timeline ("" = derive from trace_path).
-  std::string timeline_path;
 
   // Flight-recorder post-mortem bundle root ("" = disarmed). Unlike the
   // artifacts above this is independent of `enabled`: the recorder arms
@@ -56,5 +54,11 @@ struct TelemetryOptions {
   // trace path and derived metrics/report paths.
   static TelemetryOptions FromEnv();
 };
+
+// Writes `text` to `path`, creating or truncating it. Every telemetry
+// artifact (trace, metrics, report, post-mortem bundle files) goes
+// through here, so an unopenable file or a short write is detected and
+// logged once, the same way everywhere. Returns false on failure.
+bool WriteTextFile(const std::string& path, std::string_view text);
 
 }  // namespace zero::obs

@@ -1,24 +1,11 @@
 #include "obs/timeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <set>
-
-#include "common/logging.hpp"
-#include "obs/json.hpp"
 
 namespace zero::obs {
 
 namespace {
-
-void AppendMicros(std::string& out, std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  out += buf;
-}
 
 // End timestamps of every sync span on one rank, keyed by name, in
 // recording (= program) order. SPMD lockstep makes index k on one rank
@@ -155,105 +142,6 @@ Timeline BuildTimeline(const std::vector<ThreadEvents>& threads) {
                      return a.start_ns < b.start_ns;
                    });
   return t;
-}
-
-std::string TimelineChromeJson(const Timeline& timeline) {
-  std::string out;
-  out.reserve(timeline.spans.size() * 96 + 2048);
-  out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":";
-  out += std::to_string(timeline.dropped_events);
-  out += ",\"droppedByLane\":{";
-  bool first = true;
-  for (const auto& [tid, dropped] : timeline.dropped_by_tid) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += std::to_string(tid);
-    out += "\":";
-    out += std::to_string(dropped);
-  }
-  out += "},\"clockSkewNs\":{";
-  first = true;
-  for (const RankClock& c : timeline.clocks) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += std::to_string(c.rank);
-    out += "\":";
-    out += std::to_string(c.skew_ns);
-  }
-  out += "}},\"traceEvents\":[";
-
-  first = true;
-  auto comma = [&] {
-    if (!first) out += ',';
-    first = false;
-  };
-  // Process metadata: one pid per rank that actually recorded.
-  std::set<int> pids;
-  for (const TimelineSpan& s : timeline.spans) {
-    pids.insert(s.rank >= 0 ? s.rank + 1 : 0);
-  }
-  for (int pid : pids) {
-    comma();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    out += std::to_string(pid);
-    out += ",\"tid\":0,\"args\":{\"name\":\"";
-    out += pid == 0 ? "untagged" : json::Escape("rank " + std::to_string(pid - 1));
-    out += "\"}}";
-  }
-  // Lane metadata: home pid = the last rank tag seen on the lane.
-  std::map<int, int> lane_pid;
-  for (const TimelineSpan& s : timeline.spans) {
-    lane_pid[s.tid] = s.rank >= 0 ? s.rank + 1 : 0;
-  }
-  for (const auto& [tid, name] : timeline.lane_names) {
-    auto it = lane_pid.find(tid);
-    if (it == lane_pid.end()) continue;
-    comma();
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-    out += std::to_string(it->second);
-    out += ",\"tid\":";
-    out += std::to_string(tid);
-    out += ",\"args\":{\"name\":\"";
-    out += json::Escape(name);
-    out += "\"}}";
-  }
-  for (const TimelineSpan& s : timeline.spans) {
-    comma();
-    out += "{\"name\":\"";
-    out += json::Escape(s.name);
-    out += "\",\"cat\":\"zero\",\"ph\":\"X\",\"ts\":";
-    AppendMicros(out, s.start_ns);
-    out += ",\"dur\":";
-    AppendMicros(out, s.dur_ns);
-    out += ",\"pid\":";
-    out += std::to_string(s.rank >= 0 ? s.rank + 1 : 0);
-    out += ",\"tid\":";
-    out += std::to_string(s.tid);
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
-bool WriteMergedTimelineFile(const std::string& path) {
-  const Timeline t = BuildTimeline(CollectEvents());
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    ZLOG_ERROR << "cannot open timeline output " << path;
-    return false;
-  }
-  f << TimelineChromeJson(t);
-  f.flush();
-  if (!f) {
-    ZLOG_ERROR << "short write to timeline output " << path;
-    return false;
-  }
-  ZLOG_INFO << "wrote merged timeline (" << t.spans.size() << " spans, "
-            << t.dropped_events << " dropped, " << t.clocks.size()
-            << " rank clocks) to " << path;
-  return true;
 }
 
 }  // namespace zero::obs

@@ -21,10 +21,9 @@
 //      sorted by start time, plus the per-lane drop counters so a
 //      truncated ring is visible in every downstream consumer.
 //
-//   3. A single Perfetto-loadable multi-pid Chrome trace
-//      (TimelineChromeJson): pid = rank+1 exactly like the per-rank
-//      exporter, with the skew estimates and per-lane drop counts in
-//      otherData.
+// Export lives in obs/chrome_trace.hpp: ChromeTraceJson(timeline) is the
+// one Chrome trace_event serializer, with the skew estimates and
+// per-lane drop counts in otherData.
 #pragma once
 
 #include <cstdint>
@@ -88,14 +87,5 @@ std::vector<RankClock> EstimateClockSkew(
 // Merge + skew-correct + sort. Input is CollectEvents() output (or a
 // synthetic equivalent in tests).
 Timeline BuildTimeline(const std::vector<ThreadEvents>& threads);
-
-// Multi-pid Chrome trace of the merged timeline (pid = rank+1, 0 =
-// untagged). otherData carries droppedEvents, droppedByLane and
-// clockSkewNs so consumers can see truncation and the applied offsets.
-std::string TimelineChromeJson(const Timeline& timeline);
-
-// CollectEvents() -> BuildTimeline -> write to `path`. Same collection
-// contract as WriteChromeTraceFile: no thread may be recording.
-bool WriteMergedTimelineFile(const std::string& path);
 
 }  // namespace zero::obs

@@ -1,6 +1,6 @@
-// Merged cross-rank timeline: multi-rank Chrome export, clock-skew
-// estimation from matched collective pairs, and the merged-timeline
-// artifact contract (validated with the repo's strict JSON parser).
+// Merged cross-rank timeline: clock-skew estimation from matched
+// collective pairs, and the Chrome trace artifact serialized from it
+// (validated with the repo's strict JSON parser).
 #include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +12,13 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace zero::obs {
@@ -53,16 +55,18 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
-// Three rank threads record; the per-rank exporter must map rank r to
-// pid r+1 and the file must pass the strict validator.
-TEST_F(TimelineTest, MultiRankTraceFileMapsRankToPid) {
+// Three rank threads record collectives; the trace artifact must map
+// rank r to pid r+1, pass the strict validator, and carry the clock-skew
+// map in otherData.
+TEST_F(TimelineTest, TraceFileMapsRankToPidAndCarriesClockSkew) {
   EnableTracing();
   std::vector<std::thread> ranks;
   for (int r = 0; r < 3; ++r) {
     ranks.emplace_back([r] {
       SetThreadLogRank(r);
-      for (int i = 0; i < 5; ++i) {
+      for (int i = 0; i < 4; ++i) {
         TRACE_SPAN("engine/step");
+        TRACE_SPAN("comm/all_reduce");
       }
     });
   }
@@ -70,7 +74,8 @@ TEST_F(TimelineTest, MultiRankTraceFileMapsRankToPid) {
   DisableTracing();
 
   const std::string path = testing::TempDir() + "zero_timeline_trace.json";
-  ASSERT_TRUE(WriteChromeTraceFile(path));
+  ASSERT_TRUE(
+      WriteTextFile(path, ChromeTraceJson(BuildTimeline(CollectEvents()))));
   std::string error;
   ASSERT_TRUE(ValidateChromeTraceFile(path, &error)) << error;
 
@@ -83,31 +88,7 @@ TEST_F(TimelineTest, MultiRankTraceFileMapsRankToPid) {
     }
   }
   EXPECT_EQ(pids, (std::set<double>{1, 2, 3}));
-}
 
-// The merged timeline of the same multi-rank recording must pass the
-// strict validator and carry the clock-skew map in otherData.
-TEST_F(TimelineTest, MergedTimelineFilePassesStrictValidator) {
-  EnableTracing();
-  std::vector<std::thread> ranks;
-  for (int r = 0; r < 3; ++r) {
-    ranks.emplace_back([r] {
-      SetThreadLogRank(r);
-      for (int i = 0; i < 4; ++i) {
-        TRACE_SPAN("comm/all_reduce");
-      }
-    });
-  }
-  for (std::thread& t : ranks) t.join();
-  DisableTracing();
-
-  const std::string path = testing::TempDir() + "zero_merged_timeline.json";
-  ASSERT_TRUE(WriteMergedTimelineFile(path));
-  std::string error;
-  ASSERT_TRUE(ValidateChromeTraceFile(path, &error)) << error;
-
-  json::Value doc;
-  ASSERT_TRUE(json::Parse(Slurp(path), &doc, &error)) << error;
   const json::Value* other = doc.Find("otherData");
   ASSERT_NE(other, nullptr);
   const json::Value* skews = other->Find("clockSkewNs");
@@ -115,7 +96,7 @@ TEST_F(TimelineTest, MergedTimelineFilePassesStrictValidator) {
   ASSERT_TRUE(skews->is_object());
   // One numeric entry per tagged rank. (These free-running threads are
   // not synchronized, so the estimate reflects scheduler jitter; exact
-  // recovery is asserted by the injected-offset test below.)
+  // recovery is asserted by the injected-offset tests below.)
   for (const char* r : {"0", "1", "2"}) {
     const json::Value* s = skews->Find(r);
     ASSERT_NE(s, nullptr) << "missing skew for rank " << r;
@@ -123,11 +104,13 @@ TEST_F(TimelineTest, MergedTimelineFilePassesStrictValidator) {
   }
 }
 
-// An artificial +750us offset injected into rank 1's clock must be
-// recovered from matched symmetric-collective end pairs and corrected
-// out of the merged timeline.
-TEST_F(TimelineTest, SkewEstimationRecoversInjectedOffset) {
-  constexpr std::int64_t kOffset = 750'000;  // 750us
+// Two ranks whose clocks differ by +750us: rank 1 records the same four
+// all-reduces 750us "later". Plus a name with unequal per-rank counts
+// (subgroup collective), which the estimator must skip rather than match
+// index-for-index, and rooted collectives, which never anchor it.
+constexpr std::int64_t kInjectedOffset = 750'000;
+
+std::vector<ThreadEvents> InjectedOffsetThreads() {
   std::vector<ThreadEvents> threads(2);
   threads[0].tid = 0;
   threads[0].name = "rank 0";
@@ -137,26 +120,29 @@ TEST_F(TimelineTest, SkewEstimationRecoversInjectedOffset) {
     const std::uint64_t start = 1'000'000 + 100'000 * k;
     threads[0].events.push_back(Ev("comm/all_reduce", 0, start, 40'000));
     threads[1].events.push_back(Ev(
-        "comm/all_reduce", 1, start + static_cast<std::uint64_t>(kOffset),
-        40'000));
+        "comm/all_reduce", 1,
+        start + static_cast<std::uint64_t>(kInjectedOffset), 40'000));
   }
-  // A name with unequal per-rank counts (subgroup collective) must be
-  // skipped by the estimator, not matched index-for-index.
   threads[0].events.push_back(Ev("comm/all_gather", 0, 5'000'000, 10'000));
-  // Rooted collectives never anchor the estimate.
   threads[0].events.push_back(Ev("comm/broadcast", 0, 6'000'000, 10'000));
   threads[1].events.push_back(Ev("comm/broadcast", 1, 9'000'000, 10'000));
+  return threads;
+}
 
+// The injected offset must be recovered from matched symmetric-collective
+// end pairs and corrected out of the merged timeline.
+TEST_F(TimelineTest, SkewEstimationRecoversInjectedOffset) {
+  const std::vector<ThreadEvents> threads = InjectedOffsetThreads();
   const std::vector<RankClock> clocks = EstimateClockSkew(threads);
   ASSERT_EQ(clocks.size(), 2u);
   EXPECT_EQ(clocks[0].rank, 0);
   EXPECT_EQ(clocks[0].skew_ns, 0);
   EXPECT_EQ(clocks[1].rank, 1);
-  EXPECT_EQ(clocks[1].skew_ns, kOffset);
+  EXPECT_EQ(clocks[1].skew_ns, kInjectedOffset);
   EXPECT_EQ(clocks[1].matched, 4);
 
   const Timeline t = BuildTimeline(threads);
-  EXPECT_EQ(t.SkewFor(1), kOffset);
+  EXPECT_EQ(t.SkewFor(1), kInjectedOffset);
   // Corrected: matched instances now end at the same true time.
   std::vector<const TimelineSpan*> reduces = t.Named("comm/all_reduce");
   ASSERT_EQ(reduces.size(), 8u);
@@ -165,8 +151,54 @@ TEST_F(TimelineTest, SkewEstimationRecoversInjectedOffset) {
   }
 }
 
+// The exported trace carries the correction: every input span appears
+// exactly once in traceEvents, at its raw start minus its rank's
+// clockSkewNs entry.
+TEST_F(TimelineTest, ExportShiftsEachSpanByItsRankSkew) {
+  const std::vector<ThreadEvents> threads = InjectedOffsetThreads();
+  const std::string out = ChromeTraceJson(BuildTimeline(threads));
+  std::string error;
+  ASSERT_TRUE(ValidateChromeTrace(out, &error)) << error;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(out, &doc, &error)) << error;
+  const json::Value* skews = doc.Find("otherData")->Find("clockSkewNs");
+  ASSERT_NE(skews, nullptr);
+  ASSERT_NE(skews->Find("1"), nullptr);
+  EXPECT_EQ(skews->Find("1")->as_number(),
+            static_cast<double>(kInjectedOffset));
+
+  // (name, pid, tid, ts ns, dur ns) of every exported X event.
+  using Key = std::tuple<std::string, int, int, std::int64_t, std::int64_t>;
+  std::multiset<Key> exported;
+  for (const json::Value& ev : doc.Find("traceEvents")->as_array()) {
+    if (ev.Find("ph")->as_string() != "X") continue;
+    exported.insert(
+        {ev.Find("name")->as_string(),
+         static_cast<int>(ev.Find("pid")->as_number()),
+         static_cast<int>(ev.Find("tid")->as_number()),
+         std::llround(ev.Find("ts")->as_number() * 1000.0),
+         std::llround(ev.Find("dur")->as_number() * 1000.0)});
+  }
+  std::size_t inputs = 0;
+  for (const ThreadEvents& te : threads) {
+    for (const TraceEvent& e : te.events) {
+      ++inputs;
+      const json::Value* skew = skews->Find(std::to_string(e.rank));
+      ASSERT_NE(skew, nullptr) << "missing skew for rank " << e.rank;
+      const Key want{e.name, e.rank + 1, te.tid,
+                     static_cast<std::int64_t>(e.start_ns) -
+                         static_cast<std::int64_t>(skew->as_number()),
+                     static_cast<std::int64_t>(e.dur_ns)};
+      EXPECT_EQ(exported.count(want), 1u)
+          << e.name << " on rank " << e.rank << " at " << e.start_ns;
+    }
+  }
+  EXPECT_EQ(exported.size(), inputs);
+}
+
 // Per-lane drop counters must survive the merge and appear in the
-// timeline export's otherData (satellite: truncation is never silent).
+// export's otherData, both for synthetic rings and for a ring the
+// recorder actually overflowed: truncation is never silent.
 TEST_F(TimelineTest, DroppedCountsSurfaceInTimelineAndExport) {
   std::vector<ThreadEvents> threads(2);
   threads[0].tid = 3;
@@ -182,7 +214,7 @@ TEST_F(TimelineTest, DroppedCountsSurfaceInTimelineAndExport) {
   ASSERT_EQ(t.dropped_by_tid.size(), 1u);
   EXPECT_EQ(t.dropped_by_tid.at(3), 17u);
 
-  const std::string out = TimelineChromeJson(t);
+  const std::string out = ChromeTraceJson(t);
   std::string error;
   ASSERT_TRUE(ValidateChromeTrace(out, &error)) << error;
   json::Value doc;
@@ -192,11 +224,8 @@ TEST_F(TimelineTest, DroppedCountsSurfaceInTimelineAndExport) {
   ASSERT_NE(lanes->Find("3"), nullptr);
   EXPECT_EQ(lanes->Find("3")->as_number(), 17.0);
   EXPECT_EQ(lanes->Find("4"), nullptr);  // clean lanes stay out
-}
 
-// The per-rank exporter's droppedByLane metadata (satellite 1, trace
-// half): a truncated ring is attributed to its lane in the artifact.
-TEST_F(TimelineTest, ChromeTraceReportsDroppedByLane) {
+  // A recorded ring that overflowed: 100 spans into 64 slots.
   SetTraceBufferCapacity(64);
   EnableTracing();
   SetThreadLogRank(0);
@@ -205,15 +234,14 @@ TEST_F(TimelineTest, ChromeTraceReportsDroppedByLane) {
   }
   DisableTracing();
 
-  const std::string out = ChromeTraceJson(CollectEvents());
-  json::Value doc;
-  std::string error;
-  ASSERT_TRUE(json::Parse(out, &doc, &error)) << error;
-  const json::Value* lanes = doc.Find("otherData")->Find("droppedByLane");
-  ASSERT_NE(lanes, nullptr);
-  ASSERT_TRUE(lanes->is_object());
+  const std::string recorded = ChromeTraceJson(BuildTimeline(CollectEvents()));
+  json::Value rdoc;
+  ASSERT_TRUE(json::Parse(recorded, &rdoc, &error)) << error;
+  const json::Value* rlanes = rdoc.Find("otherData")->Find("droppedByLane");
+  ASSERT_NE(rlanes, nullptr);
+  ASSERT_TRUE(rlanes->is_object());
   double total = 0;
-  for (const auto& [lane, count] : lanes->as_object()) {
+  for (const auto& [lane, count] : rlanes->as_object()) {
     total += count.as_number();
   }
   EXPECT_EQ(total, 36.0);  // 100 spans - 64 ring slots

@@ -11,6 +11,7 @@
 #include "common/logging.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
+#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
 namespace zero::obs {
@@ -101,7 +102,7 @@ TEST_F(TraceTest, ConcurrentThreadsProduceValidMonotonicChromeJson) {
   }
   EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
 
-  const std::string trace_json = ChromeTraceJson(threads);
+  const std::string trace_json = ChromeTraceJson(BuildTimeline(threads));
   std::string error;
   ASSERT_TRUE(ValidateChromeTrace(trace_json, &error)) << error;
 
@@ -147,7 +148,9 @@ TEST_F(TraceTest, RingOverflowDropsOldestAndNeverBlocks) {
   }
   // A capped trace still exports valid Chrome JSON.
   std::string error;
-  EXPECT_TRUE(ValidateChromeTrace(ChromeTraceJson(threads), &error)) << error;
+  EXPECT_TRUE(
+      ValidateChromeTrace(ChromeTraceJson(BuildTimeline(threads)), &error))
+      << error;
 }
 
 TEST_F(TraceTest, ResetClearsEventsAndRegistrations) {
