@@ -227,25 +227,31 @@ int main(int argc, char** argv) {
     rep.Add("float_to_half_bulk_gelems", n / t / 1e9);
   }
 
-  // ---- fused bias+GELU (vs the unfused kernel sequence) ----
+  // ---- fused bias+GELU, causal softmax (the vectorized-exp loops) ----
   {
     const std::int64_t rows = 512, cols = 1024;
     const std::size_t n = static_cast<std::size_t>(rows * cols);
     auto x = RandVec(n, 4);
     auto bias = RandVec(static_cast<std::size_t>(cols), 5);
     std::vector<float> z(n), y(n);
-    double t = BestSeconds([&] {
-      std::memcpy(z.data(), x.data(), n * sizeof(float));
-      zero::tensor::AddBiasRows(z.data(), bias.data(), rows, cols);
-      zero::tensor::GeluForward(z.data(), y.data(),
-                                static_cast<std::int64_t>(n));
-    });
-    rep.Add("bias_gelu_unfused_gelems", n / t / 1e9);
-    t = BestSeconds([&] {
+    const double t = BestSeconds([&] {
       zero::tensor::BiasGeluForward(x.data(), bias.data(), z.data(), y.data(),
                                     rows, cols);
     });
     rep.Add("bias_gelu_fused_gelems", n / t / 1e9);
+  }
+  {
+    const std::int64_t heads = 32, seq = 128;
+    const std::size_t n = static_cast<std::size_t>(heads * seq * seq);
+    const auto scores = RandVec(n, 9);
+    std::vector<float> s(n);
+    // The copy restores the inputs each rep; it is timed too, but is
+    // small next to the exp work and identical for every build.
+    const double t = BestSeconds([&] {
+      std::memcpy(s.data(), scores.data(), n * sizeof(float));
+      zero::tensor::CausalMaskedSoftmax(s.data(), heads, seq, seq);
+    });
+    rep.Add("causal_softmax_gelems", n / t / 1e9);
   }
 
   // ---- LayerNorm forward + squared-norm reduction ----

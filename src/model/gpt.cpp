@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "model/serving_weights.hpp"
+#include "obs/trace.hpp"
 #include "tensor/kernels.hpp"
 
 namespace zero::model {
@@ -327,7 +328,11 @@ void GptModel::BlockForward(std::span<const float> up, const float* x_in,
             st.k.f32().data() + bh * s_count * hd, 0.0f,
             st.att.f32().data() + bh * s_count * s_count);
   }
-  K::CausalMaskedSoftmax(st.att.f32().data(), b_count * lh, s_count, s_count);
+  {
+    TRACE_SPAN("model/softmax");
+    K::CausalMaskedSoftmax(st.att.f32().data(), b_count * lh, s_count,
+                           s_count);
+  }
 
   st.ctx = NewAct({bs, hm});
   {
@@ -371,8 +376,11 @@ void GptModel::BlockForward(std::span<const float> up, const float* x_in,
   // Fused epilogue: st.h1 becomes z = fc_out + bias (stashed for
   // backward), st.f the activation.
   st.f = NewAct({bs, im});
-  K::BiasGeluForward(st.h1.f32().data(), up.data() + lo_.b_fc,
-                     st.h1.f32().data(), st.f.f32().data(), bs, im);
+  {
+    TRACE_SPAN("model/gelu");
+    K::BiasGeluForward(st.h1.f32().data(), up.data() + lo_.b_fc,
+                       st.h1.f32().data(), st.f.f32().data(), bs, im);
+  }
 
   // MLP output projection (row-parallel): MP all-reduce #2.
   {
@@ -415,8 +423,11 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
           g + lo_.w_pr);
 
   Tensor dh1_t = NewAct({bs, im});
-  K::BiasGeluBackward(st.h1.f32().data(), df_t.f32().data(),
-                      dh1_t.f32().data(), g + lo_.b_fc, bs, im);
+  {
+    TRACE_SPAN("model/gelu");
+    K::BiasGeluBackward(st.h1.f32().data(), df_t.f32().data(),
+                        dh1_t.f32().data(), g + lo_.b_fc, bs, im);
+  }
   df_t = Tensor();
 
   K::Gemm(true, false, im, h, bs, 1.0f, dh1_t.f32().data(),
@@ -468,9 +479,12 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
 
   // Softmax backward (masked entries have probability 0, so their
   // gradient vanishes automatically).
-  K::SoftmaxBackwardRows(st.att.f32().data(), datt_t.f32().data(),
-                         datt_t.f32().data(), b_count * lh * s_count,
-                         s_count);
+  {
+    TRACE_SPAN("model/softmax");
+    K::SoftmaxBackwardRows(st.att.f32().data(), datt_t.f32().data(),
+                           datt_t.f32().data(), b_count * lh * s_count,
+                           s_count);
+  }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   Tensor dq_t = NewAct({b_count * lh, s_count, hd});

@@ -1,6 +1,7 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -568,34 +569,67 @@ void BiasGradFromRows(const float* dy, float* dbias, std::int64_t rows,
 }
 
 namespace {
+// Branch-free exp for the GELU and softmax loops. The libm exp and
+// tanh are opaque calls that keep those loops scalar; this inlines to
+// fma/select code the vectorizer turns into full-width SIMD.
+//
+// The argument is clamped to [-87, 88] before the float->int conversion
+// (a NaN clamps to a finite value, so the conversion is never
+// undefined). Below -87 the result flushes to +0, so exp(-inf) is
+// exactly 0 as the masked softmax entries need; above 88 it is +inf;
+// NaN stays NaN. In range: n = round(x / ln2) by the 1.5*2^23 shift,
+// r = x - n*ln2 in two Cody-Waite steps, a degree-6 polynomial fitted
+// for relative error on [-ln2/2, ln2/2], and 2^n built in the exponent
+// field (n+127 stays in [1, 254]).
+//
+// Every multiply-add is an explicit std::fma. Under GCC's default
+// -ffp-contract=fast the compiler may otherwise contract differently in
+// a loop's vector body than in its scalar tail, and the decode memcmp
+// contract needs an element's bits independent of its position.
+inline float ExpF(float x) {
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693359375f;  // 9 bits: n * kLn2Hi is exact
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  constexpr float kShift = 12582912.0f;  // 1.5 * 2^23
+  const float xc = std::max(-87.0f, std::min(88.0f, x));
+  const float n = std::fma(xc, kLog2e, kShift) - kShift;
+  float r = std::fma(n, -kLn2Hi, xc);
+  r = std::fma(n, -kLn2Lo, r);
+  float p = 0.0013814612f;
+  p = std::fma(p, r, 0.0083687100f);
+  p = std::fma(p, r, 0.041668389f);
+  p = std::fma(p, r, 0.16666521f);
+  p = std::fma(p, r, 0.49999994f);
+  p = std::fma(p, r, 1.0f);
+  p = std::fma(p, r, 1.0f);
+  const float scale =
+      std::bit_cast<float>((static_cast<std::int32_t>(n) + 127) << 23);
+  float y = p * scale;
+  y = x < -87.0f ? 0.0f : y;
+  y = x > 88.0f ? std::numeric_limits<float>::infinity() : y;
+  return std::isnan(x) ? x : y;
+}
+
+// tanh-approximation GELU, the variant GPT-2 uses:
+//   0.5 v (1 + tanh u) = v * sigmoid(2u),  u = c (v + a v^3).
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 constexpr float kGeluA = 0.044715f;
 
-inline float GeluVal(float v) {
-  const float u = kGeluC * (v + kGeluA * v * v * v);
-  return 0.5f * v * (1.0f + std::tanh(u));
+// s = sigmoid(2u), from the shared argument -2u.
+inline float GeluSigmoid(float v) {
+  const float m2u = (-2.0f * kGeluC) * std::fma(kGeluA * v * v, v, v);
+  return 1.0f / (1.0f + ExpF(m2u));
 }
 
+inline float GeluVal(float v) { return v * GeluSigmoid(v); }
+
+// d/dv [v s] = s + 2 v s (1 - s) du,  du = c (1 + 3 a v^2).
 inline float GeluGrad(float v) {
-  const float u = kGeluC * (v + kGeluA * v * v * v);
-  const float t = std::tanh(u);
-  const float du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
-  return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+  const float s = GeluSigmoid(v);
+  const float du = kGeluC * std::fma((3.0f * kGeluA) * v, v, 1.0f);
+  return std::fma(2.0f * v * s * (1.0f - s), du, s);
 }
 }  // namespace
-
-void GeluForward(const float* x, float* y, std::int64_t n) {
-  ParallelFor(0, n, kElemChunk, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) y[i] = GeluVal(x[i]);
-  });
-}
-
-void GeluBackward(const float* x, const float* dy, float* dx,
-                  std::int64_t n) {
-  ParallelFor(0, n, kElemChunk, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) dx[i] = dy[i] * GeluGrad(x[i]);
-  });
-}
 
 void BiasGeluForward(const float* x, const float* bias, float* z, float* y,
                      std::int64_t rows, std::int64_t cols) {
@@ -773,11 +807,11 @@ namespace {
 inline void SoftmaxRow(float* xr, std::int64_t cols) {
   float mx = -std::numeric_limits<float>::infinity();
   for (std::int64_t c = 0; c < cols; ++c) mx = std::max(mx, xr[c]);
+  // The exp loop vectorizes; the sum stays a separate serial loop so its
+  // order (and bits) do not depend on the vector width.
+  for (std::int64_t c = 0; c < cols; ++c) xr[c] = ExpF(xr[c] - mx);
   float sum = 0.0f;
-  for (std::int64_t c = 0; c < cols; ++c) {
-    xr[c] = std::exp(xr[c] - mx);
-    sum += xr[c];
-  }
+  for (std::int64_t c = 0; c < cols; ++c) sum += xr[c];
   const float inv = 1.0f / sum;
   for (std::int64_t c = 0; c < cols; ++c) xr[c] *= inv;
 }

@@ -84,12 +84,11 @@ void AddBiasRows(float* x, const float* bias, std::int64_t rows,
 void BiasGradFromRows(const float* dy, float* dbias, std::int64_t rows,
                       std::int64_t cols);
 
-// tanh-approximation GELU, the variant GPT-2 uses.
-void GeluForward(const float* x, float* y, std::int64_t n);
-void GeluBackward(const float* x, const float* dy, float* dx, std::int64_t n);
-
 // Fused bias + activation epilogues: one pass over the activations
-// instead of separate bias-add and activation kernels.
+// instead of separate bias-add and activation kernels. GELU is the tanh
+// approximation GPT-2 uses, evaluated as v * sigmoid(2u) through the
+// kernels' vectorizable exp; every element's bits are independent of
+// its position in the row.
 //   forward:  z = x + bias (saved for backward), y = act(z); z may alias x.
 //   backward: dx = dy * act'(z), dbias[cols] += column sums of dx;
 //             dx may alias dy.
@@ -113,7 +112,9 @@ void LayerNormBackward(const float* x, const float* gamma, const float* mean,
                        float* dgamma, float* dbeta, std::int64_t rows,
                        std::int64_t cols);
 
-// In-place row-wise softmax.
+// In-place row-wise softmax. -inf entries come out exactly 0, and the
+// first L outputs of a row padded with -inf past L are bitwise those of
+// the unpadded length-L row (decode relies on this to match eval).
 void SoftmaxRows(float* x, std::int64_t rows, std::int64_t cols);
 // dx from saved softmax output y. dx may alias dy.
 void SoftmaxBackwardRows(const float* y, const float* dy, float* dx,

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -95,10 +99,42 @@ TEST(GemmTest, AlphaBetaSemantics) {
   EXPECT_EQ(c[0], 1.0f);  // beta=0 overwrites
 }
 
+// GELU through the fused kernel with a zero bias: y = GELU(x), and
+// dx = dy * GELU'(x).
+std::vector<float> Gelu(const std::vector<float>& x) {
+  const std::int64_t n = static_cast<std::int64_t>(x.size());
+  std::vector<float> bias(x.size(), 0.0f), z(x.size()), y(x.size());
+  BiasGeluForward(x.data(), bias.data(), z.data(), y.data(), 1, n);
+  return y;
+}
+
+std::vector<float> GeluBackwardOf(const std::vector<float>& x,
+                                  const std::vector<float>& dy) {
+  const std::int64_t n = static_cast<std::int64_t>(x.size());
+  std::vector<float> dx(x.size()), dbias(x.size(), 0.0f);
+  BiasGeluBackward(x.data(), dy.data(), dx.data(), dbias.data(), 1, n);
+  return dx;
+}
+
+// Double-precision tanh-form GELU and its derivative.
+double GeluRef(double v) {
+  const double c = std::sqrt(2.0 / std::numbers::pi), a = 0.044715;
+  return 0.5 * v * (1.0 + std::tanh(c * (v + a * v * v * v)));
+}
+
+double GeluGradRef(double v) {
+  const double c = std::sqrt(2.0 / std::numbers::pi), a = 0.044715;
+  const double t = std::tanh(c * (v + a * v * v * v));
+  return 0.5 * (1.0 + t) +
+         0.5 * v * (1.0 - t * t) * c * (1.0 + 3.0 * a * v * v);
+}
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
 TEST(GeluTest, ForwardKnownValues) {
-  std::vector<float> x{0.0f, 1.0f, -1.0f, 3.0f};
-  std::vector<float> y(4);
-  GeluForward(x.data(), y.data(), 4);
+  const std::vector<float> y = Gelu({0.0f, 1.0f, -1.0f, 3.0f});
   EXPECT_NEAR(y[0], 0.0f, 1e-6f);
   EXPECT_NEAR(y[1], 0.8412f, 1e-3f);
   EXPECT_NEAR(y[2], -0.1588f, 1e-3f);
@@ -108,17 +144,65 @@ TEST(GeluTest, ForwardKnownValues) {
 TEST(GeluTest, BackwardMatchesFiniteDifference) {
   auto x = RandVec(8, 3);
   auto w = RandVec(8, 4);
-  std::vector<float> dx(8);
-  GeluBackward(x.data(), w.data(), dx.data(), 8);
+  const std::vector<float> dx = GeluBackwardOf(x, w);
   CheckGradient(
       [&](const std::vector<float>& xv) {
-        std::vector<float> y(8);
-        GeluForward(xv.data(), y.data(), 8);
+        const std::vector<float> y = Gelu(xv);
         float loss = 0;
         for (int i = 0; i < 8; ++i) loss += w[static_cast<std::size_t>(i)] * y[static_cast<std::size_t>(i)];
         return loss;
       },
       x, dx, 2e-2f);
+}
+
+TEST(GeluTest, DenseSweepWithinErrorBounds) {
+  std::vector<float> x;
+  for (int i = -20 * 1024; i <= 20 * 1024; ++i) x.push_back(i / 1024.0f);
+  const std::vector<float> y = Gelu(x);
+  const std::vector<float> dx =
+      GeluBackwardOf(x, std::vector<float>(x.size(), 1.0f));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double v = x[i];
+    EXPECT_LE(std::abs(y[i] - GeluRef(v)), 2.5e-7 * std::max(1.0, std::abs(v)))
+        << "x = " << v;
+    EXPECT_LE(std::abs(dx[i] - GeluGradRef(v)), 4e-6) << "x = " << v;
+  }
+}
+
+TEST(GeluTest, NonFiniteInputs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x{nan, inf, -inf};
+  const std::vector<float> y = Gelu(x);
+  const std::vector<float> dx = GeluBackwardOf(x, {1.0f, 1.0f, 1.0f});
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_TRUE(std::isnan(dx[0]));
+  EXPECT_EQ(y[1], inf);
+  EXPECT_FALSE(std::isfinite(y[2]));
+}
+
+// Decode runs the activation on [tokens, cols] rows where eval runs
+// [seq, cols]; each element must not depend on where it falls in the
+// row (vector body, epilogue or scalar tail).
+TEST(GeluTest, ElementsIndependentOfPosition) {
+  for (std::int64_t cols = 1; cols <= 100; ++cols) {
+    const std::size_t n = static_cast<std::size_t>(cols);
+    const auto x = RandVec(n, 100 + static_cast<std::uint64_t>(cols), 4.0f);
+    const auto bias = RandVec(n, 300 + static_cast<std::uint64_t>(cols));
+    const auto dy = RandVec(n, 500 + static_cast<std::uint64_t>(cols));
+    std::vector<float> z(n), y(n), dx(n), dbias(n, 0.0f);
+    BiasGeluForward(x.data(), bias.data(), z.data(), y.data(), 1, cols);
+    BiasGeluBackward(z.data(), dy.data(), dx.data(), dbias.data(), 1, cols);
+    for (std::size_t c = 0; c < n; ++c) {
+      float z1 = 0, y1 = 0, dx1 = 0, db1 = 0;
+      BiasGeluForward(&x[c], &bias[c], &z1, &y1, 1, 1);
+      BiasGeluBackward(&z1, &dy[c], &dx1, &db1, 1, 1);
+      EXPECT_TRUE(SameBits(z[c], z1)) << "cols " << cols << " c " << c;
+      EXPECT_TRUE(SameBits(y[c], y1)) << "cols " << cols << " c " << c;
+      EXPECT_TRUE(SameBits(dx[c], dx1)) << "cols " << cols << " c " << c;
+      EXPECT_TRUE(SameBits(dbias[c], db1)) << "cols " << cols << " c " << c;
+    }
+  }
 }
 
 TEST(LayerNormTest, ForwardNormalizesRows) {
@@ -194,6 +278,43 @@ TEST(SoftmaxTest, StableUnderLargeInputs) {
   EXPECT_FALSE(std::isnan(x[0]));
   EXPECT_GT(x[1], x[0]);
   EXPECT_GT(x[0], x[2]);
+}
+
+TEST(SoftmaxTest, NonFiniteEntries) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x{0.5f, std::numeric_limits<float>::quiet_NaN(), -1.0f,
+                       2.0f};
+  SoftmaxRows(x.data(), 1, 4);
+  for (float v : x) EXPECT_TRUE(std::isnan(v));
+
+  std::vector<float> masked{1.0f, -inf, 3.0f, -inf, -inf};
+  SoftmaxRows(masked.data(), 1, 5);
+  for (std::size_t c : {1u, 3u, 4u}) {
+    EXPECT_EQ(masked[c], 0.0f);
+    EXPECT_FALSE(std::signbit(masked[c]));
+  }
+}
+
+// The decode pattern: a length-L row must give bitwise the first L
+// outputs of the same row padded with -inf to the eval length.
+TEST(SoftmaxTest, PaddedRowMatchesUnpadded) {
+  constexpr std::int64_t kFull = 128;
+  const auto row = RandVec(kFull, 14, 3.0f);
+  for (std::int64_t len = 1; len <= kFull; ++len) {
+    std::vector<float> a(row.begin(), row.begin() + len);
+    std::vector<float> b(row.begin(), row.end());
+    std::fill(b.begin() + len, b.end(),
+              -std::numeric_limits<float>::infinity());
+    SoftmaxRows(a.data(), 1, len);
+    SoftmaxRows(b.data(), 1, kFull);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<std::size_t>(len) * sizeof(float)),
+              0)
+        << "len " << len;
+    for (std::int64_t c = len; c < kFull; ++c) {
+      EXPECT_EQ(b[static_cast<std::size_t>(c)], 0.0f);
+    }
+  }
 }
 
 TEST(SoftmaxTest, BackwardMatchesFiniteDifference) {
