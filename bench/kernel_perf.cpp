@@ -26,6 +26,7 @@
 #include "gate.hpp"
 #include "common/half.hpp"
 #include "common/rng.hpp"
+#include "optim/adam.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/parallel_for.hpp"
 
@@ -225,6 +226,24 @@ int main(int argc, char** argv) {
     rep.Add("float_to_half_seed_gelems", n / t / 1e9);
     t = BestSeconds([&] { zero::FloatToHalf(f.data(), h.data(), n); }, 9);
     rep.Add("float_to_half_bulk_gelems", n / t / 1e9);
+    t = BestSeconds(
+        [&] { zero::ScaledFloatToHalf(f.data(), 1024.0f, h.data(), n); }, 9);
+    rep.Add("scaled_float_to_half_gelems", n / t / 1e9);
+  }
+
+  // ---- fused mixed-precision Adam: fp16 grads -> fp16 params ----
+  {
+    // Psi = 4M, the order of one rank's shard in the benchmark models;
+    // the 64 MB of state and edges stream from memory, as in training.
+    const std::size_t n = std::size_t{1} << 22;
+    zero::optim::MixedPrecisionAdam opt(zero::optim::AdamConfig{}, nullptr,
+                                        RandVec(n, 10));
+    const auto g32 = RandVec(n, 11);
+    std::vector<Half> g(n), p(n);
+    zero::ScaledFloatToHalf(g32.data(), 1024.0f, g.data(), n);
+    zero::tensor::IntraOpWorkersGuard guard(1);
+    const double t = BestSeconds([&] { opt.Step(p, g, 1024.0f); });
+    rep.Add("adam_fused_gelems", n / t / 1e9);
   }
 
   // ---- fused bias+GELU, causal softmax (the vectorized-exp loops) ----

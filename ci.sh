@@ -155,16 +155,18 @@ serve_completed=$(sed -n 's/.*"completed": \([0-9]*\).*/\1/p' \
 test "${serve_offered}" -gt 100
 test "${serve_completed}" -eq "${serve_offered}"
 
-echo "==> asan: comm + obs suites under AddressSanitizer + UBSan"
-# The ring machines, the p2p request layer and the qwZ wire format, then
-# the telemetry layer (trace rings, metrics registries, the Chrome
-# serializer and the flight recorder) under the asan preset, with
+echo "==> asan: comm + obs + optim suites under AddressSanitizer + UBSan"
+# The ring machines, the p2p request layer and the qwZ wire format, the
+# telemetry layer (trace rings, metrics registries, the Chrome
+# serializer and the flight recorder), then the fused Adam kernel (stack
+# block buffers, __restrict pointers) under the asan preset, with
 # LeakSanitizer on. halt_on_error makes the first UBSan report fail the
 # run (ASan already aborts on its first report).
 cmake --preset asan >/dev/null
-cmake --build --preset asan --target test_comm test_obs -j "${JOBS}"
+cmake --build --preset asan --target test_comm test_obs test_optim -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_comm
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_obs
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_optim
 
 echo "==> tsan: configure + build + ctest"
 cmake --preset tsan >/dev/null

@@ -114,6 +114,27 @@ inline void AccumulateInto(T* dst, const T* src, std::size_t n,
   }
 }
 
+// fp16 runs the same widen-op-narrow per element, in stack blocks through
+// the bulk converters (bit-exact with the scalar Half conversions).
+template <>
+inline void AccumulateInto<Half>(Half* dst, const Half* src, std::size_t n,
+                                 ReduceOp op) {
+  constexpr std::size_t kBlock = 256;
+  float a[kBlock];
+  float b[kBlock];
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    const std::size_t len = std::min(kBlock, n - i0);
+    HalfToFloat(dst + i0, a, len);
+    HalfToFloat(src + i0, b, len);
+    if (op == ReduceOp::kMax) {
+      for (std::size_t k = 0; k < len; ++k) a[k] = std::max(a[k], b[k]);
+    } else {
+      for (std::size_t k = 0; k < len; ++k) a[k] += b[k];
+    }
+    FloatToHalf(a, dst + i0, len);
+  }
+}
+
 template <typename T>
 inline void ScaleBy(T* dst, std::size_t n, double s) {
   using P = FpPromote<T>;

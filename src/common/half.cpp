@@ -1,5 +1,6 @@
 #include "common/half.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #if defined(__AVX512F__)
@@ -111,19 +112,27 @@ const float* HalfDecodeTable() {
 //    exact); Inf/NaN reconstructed with OR, so NaN payloads survive.
 //  - encode: VCVTPS2PH rounds to nearest-even and quiets SNaNs by
 //    setting the same 0x0200 bit FromFloat sets.
-void FloatToHalf(const float* src, Half* dst, std::size_t n) {
+void ScaledFloatToHalf(const float* src, float scale, Half* dst,
+                       std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX512F__)
+  const __m512 s = _mm512_set1_ps(scale);
   for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(src + i);
+    const __m512 v = _mm512_mul_ps(_mm512_loadu_ps(src + i), s);
     const __m256i h =
         _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
   }
 #endif
   for (; i < n; ++i) {
-    dst[i] = Half::FromBits(Half::FromFloat(src[i]));
+    dst[i] = Half::FromBits(Half::FromFloat(src[i] * scale));
   }
+}
+
+// x * 1.0f is x bit for bit, except that a signalling NaN comes out
+// quiet, and the encoder quiets NaNs with that same bit anyway.
+void FloatToHalf(const float* src, Half* dst, std::size_t n) {
+  ScaledFloatToHalf(src, 1.0f, dst, n);
 }
 
 void HalfToFloat(const Half* src, float* dst, std::size_t n) {
@@ -160,6 +169,24 @@ void HalfToFloat(const Half* src, float* dst, std::size_t n) {
 #endif
   const float* table = HalfDecodeTable();
   for (; i < n; ++i) dst[i] = table[src[i].bits()];
+}
+
+void AccumulateHalf(const Half* src, float* acc, std::size_t n) {
+  constexpr std::size_t kBlock = 256;
+  float wide[kBlock];
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    const std::size_t len = std::min(kBlock, n - i0);
+    HalfToFloat(src + i0, wide, len);
+    for (std::size_t k = 0; k < len; ++k) acc[i0 + k] += wide[k];
+  }
+}
+
+bool AnyInfOrNan(const Half* src, std::size_t n) {
+  unsigned any = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    any |= static_cast<unsigned>((src[i].bits() & 0x7C00u) == 0x7C00u);
+  }
+  return any != 0;
 }
 
 }  // namespace zero

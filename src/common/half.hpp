@@ -81,4 +81,18 @@ const float* HalfDecodeTable();
 void FloatToHalf(const float* src, Half* dst, std::size_t n);
 void HalfToFloat(const Half* src, float* dst, std::size_t n);
 
+// dst[i] = Half(src[i] * scale), bit for bit: the product is rounded to
+// fp32 on its own and then encoded. This is the loss-scaled fp16
+// gradient emit; it needs no intermediate buffer.
+void ScaledFloatToHalf(const float* src, float scale, Half* dst,
+                       std::size_t n);
+
+// acc[i] += float(src[i]), bit for bit with the scalar widen-add.
+void AccumulateHalf(const Half* src, float* acc, std::size_t n);
+
+// True when any element is Inf or NaN (exponent bits all ones). A
+// branch-free OR-reduction: it reads every element, with no early exit,
+// so the loop vectorizes.
+bool AnyInfOrNan(const Half* src, std::size_t n);
+
 }  // namespace zero

@@ -230,9 +230,7 @@ void ZeroDpEngine::AccumulateReduced() {
   if (cfg_.fp16) {
     std::span<const Half> src = strategy_->ReducedF16();
     ZERO_CHECK(src.size() == acc.size(), "accumulator size mismatch");
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc[i] += src[i].ToFloat();
-    }
+    AccumulateHalf(src.data(), acc.data(), acc.size());
   } else {
     std::span<const float> src = strategy_->ReducedF32();
     ZERO_CHECK(src.size() == acc.size(), "accumulator size mismatch");
@@ -253,12 +251,8 @@ bool ZeroDpEngine::DetectGlobalOverflow() {
   if (acc_.defined()) {
     local = scan_f32(acc_.f32());
   } else if (cfg_.fp16) {
-    for (Half h : strategy_->ReducedF16()) {
-      if (h.IsInf() || h.IsNan()) {
-        local = true;
-        break;
-      }
-    }
+    const std::span<const Half> g = strategy_->ReducedF16();
+    local = AnyInfOrNan(g.data(), g.size());
   } else {
     local = scan_f32(strategy_->ReducedF32());
   }

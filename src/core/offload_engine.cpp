@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/kernels.hpp"
 
 namespace zero::core {
 
@@ -153,7 +152,7 @@ void OffloadEngine::Step(std::span<Half> params_f16,
                  grads_f16.size() == static_cast<std::size_t>(numel_),
              "shard size mismatch");
   RunUpdate(params_f16, {}, std::as_bytes(grads_f16), sizeof(Half),
-            GradKind::kF16Scaled, 1.0f / loss_scale);
+            1.0f / loss_scale);
 }
 
 void OffloadEngine::StepFromF32(std::span<Half> params_f16,
@@ -163,7 +162,7 @@ void OffloadEngine::StepFromF32(std::span<Half> params_f16,
                  grads.size() == static_cast<std::size_t>(numel_),
              "shard size mismatch");
   RunUpdate(params_f16, {}, std::as_bytes(grads), sizeof(float),
-            GradKind::kF32Scaled, grad_scale);
+            grad_scale);
 }
 
 void OffloadEngine::StepF32(std::span<float> params_out,
@@ -172,14 +171,13 @@ void OffloadEngine::StepF32(std::span<float> params_out,
                  grads.size() == static_cast<std::size_t>(numel_),
              "shard size mismatch");
   RunUpdate({}, params_out, std::as_bytes(grads), sizeof(float),
-            GradKind::kF32Scaled, grad_scale);
+            grad_scale);
 }
 
 void OffloadEngine::RunUpdate(std::span<Half> params_f16,
                               std::span<float> params_f32,
                               std::span<const std::byte> grads,
-                              std::size_t grad_elem, GradKind kind,
-                              float scale) {
+                              std::size_t grad_elem, float scale) {
   TRACE_SPAN("optim/offload_step");
   const std::int64_t num = num_slices();
   ++t_;
@@ -196,8 +194,6 @@ void OffloadEngine::RunUpdate(std::span<Half> params_f16,
     order.resize(static_cast<std::size_t>(num));
     std::iota(order.begin(), order.end(), 0);
   }
-
-  const float* lut = HalfDecodeTable();
 
   auto prepare = [&](std::int64_t idx) {
     TRACE_SPAN("offload/slice_launch");
@@ -245,62 +241,40 @@ void OffloadEngine::RunUpdate(std::span<Half> params_f16,
       slot.in_reqs.clear();
     }
 
-    std::span<float> master, m, v;
-    if (resident_) {
-      master = master_host_.subspan(static_cast<std::size_t>(begin),
-                                    static_cast<std::size_t>(len));
-      m = m_host_.subspan(static_cast<std::size_t>(begin),
-                          static_cast<std::size_t>(len));
-      v = v_host_.subspan(static_cast<std::size_t>(begin),
-                          static_cast<std::size_t>(len));
-    } else {
-      master = slot.master;
-      m = slot.m;
-      v = slot.v;
-    }
-
-    std::vector<float>& gf = grad_f32_[idx & 1];
-    gf.resize(static_cast<std::size_t>(len));
+    const auto b = static_cast<std::size_t>(begin);
+    const auto n = static_cast<std::size_t>(len);
+    const optim::AdamState state =
+        resident_ ? optim::AdamState{master_host_.subspan(b, n),
+                                     m_host_.subspan(b, n),
+                                     v_host_.subspan(b, n)}
+                  : optim::AdamState{slot.master, slot.m, slot.v};
     const std::byte* src =
         (staged_[static_cast<std::size_t>(s)] ? grad_host_.data()
                                               : grads.data()) +
-        static_cast<std::size_t>(begin) * grad_elem;
-    if (kind == GradKind::kF16Scaled) {
-      const Half* g = reinterpret_cast<const Half*>(src);
-      for (std::int64_t i = 0; i < len; ++i) {
-        gf[static_cast<std::size_t>(i)] =
-            lut[g[static_cast<std::size_t>(i)].bits()] * scale;
-      }
+        b * grad_elem;
+    if (grad_elem == sizeof(Half)) {
+      optim::FusedAdamStep(cfg_, t_, {reinterpret_cast<const Half*>(src), n},
+                           scale, state, params_f16.subspan(b, n));
     } else {
-      const float* g = reinterpret_cast<const float*>(src);
-      for (std::int64_t i = 0; i < len; ++i) {
-        gf[static_cast<std::size_t>(i)] =
-            g[static_cast<std::size_t>(i)] * scale;
+      const std::span<const float> g(reinterpret_cast<const float*>(src), n);
+      if (!params_f16.empty()) {
+        optim::FusedAdamStep(cfg_, t_, g, scale, state,
+                             params_f16.subspan(b, n));
+      } else {
+        optim::FusedAdamStep(cfg_, t_, g, scale, state,
+                             params_f32.subspan(b, n));
       }
     }
-
-    optim::AdamUpdate(cfg_, t_, master, gf, m, v);
-
-    if (!params_f16.empty()) {
-      tensor::CastFloatToHalf(
-          master.data(), params_f16.data() + static_cast<std::size_t>(begin),
-          len);
-      slot.out_reqs.push_back(tier_->SubmitToDevice(
-          static_cast<std::size_t>(len) * sizeof(Half)));
-    } else {
-      std::memcpy(params_f32.data() + static_cast<std::size_t>(begin),
-                  master.data(), static_cast<std::size_t>(len) * sizeof(float));
-      slot.out_reqs.push_back(tier_->SubmitToDevice(
-          static_cast<std::size_t>(len) * sizeof(float)));
-    }
+    slot.out_reqs.push_back(tier_->SubmitToDevice(
+        n * (params_f16.empty() ? sizeof(float) : sizeof(Half))));
     if (!resident_) {
-      const std::size_t off = static_cast<std::size_t>(begin) * sizeof(float);
+      const std::size_t off = b * sizeof(float);
       slot.out_reqs.push_back(
-          tier_->StoreAsync(master_rg_, off, std::as_bytes(std::span(master))));
+          tier_->StoreAsync(master_rg_, off, std::as_bytes(state.master)));
       slot.out_reqs.push_back(
-          tier_->StoreAsync(m_rg_, off, std::as_bytes(std::span(m))));
+          tier_->StoreAsync(m_rg_, off, std::as_bytes(state.m)));
       slot.out_reqs.push_back(
-          tier_->StoreAsync(v_rg_, off, std::as_bytes(std::span(v))));
+          tier_->StoreAsync(v_rg_, off, std::as_bytes(state.v)));
     }
   }
   {

@@ -22,10 +22,11 @@
 // a correctness change.
 //
 // Bit-exactness: transfers move bytes verbatim and land at submit time
-// (alloc/tier.hpp); decode, Adam, and the fp16 cast are elementwise
-// with per-step bias correction, so slicing and slice *order* cannot
-// change a single bit vs MixedPrecisionAdam over the same shard. The
-// only observable difference between tiers is time.
+// (alloc/tier.hpp), and each slice runs optim::FusedAdamStep, the same
+// elementwise kernel MixedPrecisionAdam runs over its whole shard, with
+// per-step bias correction. So slicing and slice *order* cannot change a
+// single bit vs MixedPrecisionAdam over the same shard. The only
+// observable difference between tiers is time.
 #pragma once
 
 #include <cstdint>
@@ -81,11 +82,6 @@ class OffloadEngine final : public optim::ShardOptimizer,
   [[nodiscard]] const alloc::ChannelStats* channel_stats() const;
 
  private:
-  enum class GradKind : unsigned char {
-    kF16Scaled,  // fp16 bits, decoded via LUT then scaled
-    kF32Scaled,  // fp32, scaled
-  };
-
   [[nodiscard]] std::int64_t num_slices() const {
     return (numel_ + opts_.slice_elems - 1) / opts_.slice_elems;
   }
@@ -97,9 +93,12 @@ class OffloadEngine final : public optim::ShardOptimizer,
   }
 
   void TryLaunchEager();
+  // One fused Adam pass per slice. `grad_elem` is sizeof(Half) for fp16
+  // gradients (always into fp16 params) or sizeof(float); exactly one of
+  // the two parameter spans is non-empty.
   void RunUpdate(std::span<Half> params_f16, std::span<float> params_f32,
                  std::span<const std::byte> grads, std::size_t grad_elem,
-                 GradKind kind, float scale);
+                 float scale);
   void ResetStaging();
   void PublishMetrics();
 
@@ -139,7 +138,6 @@ class OffloadEngine final : public optim::ShardOptimizer,
     std::vector<alloc::TransferRequest> out_reqs;  // param + state stores
   };
   Slot slots_[2];
-  std::vector<float> grad_f32_[2];  // decoded gradient slices
 
   // Last-published channel byte counts (metric deltas).
   std::uint64_t prev_to_tier_ = 0;

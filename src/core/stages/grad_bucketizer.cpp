@@ -50,10 +50,8 @@ void GradBucketizer::Emit(int u, std::span<const float> grad) {
     const std::int64_t local = overlap.begin - part.PartitionRange(j).begin;
     const float* src = grad.data() + (overlap.begin - ub);
     if (ctx_->cfg->fp16) {
-      Half* dst = seg.data.f16().data() + local;
-      for (std::int64_t i = 0; i < overlap.size(); ++i) {
-        dst[i] = Half(src[i] * ctx_->loss_scale);
-      }
+      ScaledFloatToHalf(src, ctx_->loss_scale, seg.data.f16().data() + local,
+                        static_cast<std::size_t>(overlap.size()));
     } else {
       std::memcpy(seg.data.f32().data() + local, src,
                   static_cast<std::size_t>(overlap.size()) * sizeof(float));
@@ -285,9 +283,7 @@ void GradBucketizer::ProgressHier(bool block) {
         float* acc = h.acc32.data() + off;
         {
           TRACE_SPAN("grads/qgz_fold");
-          for (std::int64_t i = 0; i < len; ++i) {
-            acc[i] += peer[i].ToFloat();
-          }
+          AccumulateHalf(peer, acc, static_cast<std::size_t>(len));
         }
         h.intra_staging[idx] = std::vector<std::byte>();
         if (++h.intra_next[ci] == npeers) {

@@ -49,10 +49,8 @@ void StoreUnitGradFull(StageContext& ctx, tensor::Tensor& grads, int u,
   const auto [ub, ue] = ctx.model->layout().UnitRange(u);
   (void)ue;
   if (ctx.cfg->fp16) {
-    Half* dst = grads.f16().data() + ub;
-    for (std::size_t i = 0; i < grad.size(); ++i) {
-      dst[i] = Half(grad[i] * ctx.loss_scale);
-    }
+    ScaledFloatToHalf(grad.data(), ctx.loss_scale, grads.f16().data() + ub,
+                      grad.size());
   } else {
     std::memcpy(grads.f32().data() + ub, grad.data(), grad.size_bytes());
   }

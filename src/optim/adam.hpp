@@ -33,8 +33,39 @@ struct AdamConfig {
   float weight_decay = 0.0f;
 };
 
-// Functional fp32 Adam step (t is 1-based). Exposed separately so tests
-// can drive reference trajectories without any storage policy attached.
+// The fp32 state one Adam update rewrites in place; all three spans have
+// the shard's length.
+struct AdamState {
+  std::span<float> master;
+  std::span<float> m;
+  std::span<float> v;
+};
+
+// The one Adam kernel. MixedPrecisionAdam (device tier) and
+// core::OffloadEngine (host tier) both run it, so the tiers agree bit for
+// bit by construction. It is ZeRO-Offload's single-pass CPU-Adam
+// (arXiv:2101.06840): each 256-element block makes one trip through
+// memory.
+//   1. The gradient is decoded (fp16) or copied (fp32) into a stack
+//      buffer and multiplied by `grad_scale` there.
+//   2. Adam updates master, m and v from that buffer (t is 1-based).
+//   3. The new master weights go to `params_out`: rounded to fp16,
+//      copied as fp32, or nowhere when the span is empty.
+// Every element is touched by exactly one intra-op chunk, so the result
+// is bitwise identical at any worker count.
+void FusedAdamStep(const AdamConfig& cfg, std::int64_t t,
+                   std::span<const Half> grad, float grad_scale,
+                   AdamState state, std::span<Half> params_out);
+void FusedAdamStep(const AdamConfig& cfg, std::int64_t t,
+                   std::span<const float> grad, float grad_scale,
+                   AdamState state, std::span<Half> params_out);
+void FusedAdamStep(const AdamConfig& cfg, std::int64_t t,
+                   std::span<const float> grad, float grad_scale,
+                   AdamState state, std::span<float> params_out);
+
+// Functional fp32 Adam step (t is 1-based): FusedAdamStep with an
+// unscaled gradient and no parameter copy. Tests drive reference
+// trajectories through it without any storage policy attached.
 void AdamUpdate(const AdamConfig& cfg, std::int64_t t,
                 std::span<float> master, std::span<const float> grad,
                 std::span<float> m, std::span<float> v);
@@ -89,7 +120,10 @@ class MixedPrecisionAdam final : public ShardOptimizer {
   tensor::Tensor master_;  // fp32 [numel]
   tensor::Tensor m_;       // fp32 [numel]
   tensor::Tensor v_;       // fp32 [numel]
-  std::vector<float> grad_scratch_;
+
+  [[nodiscard]] AdamState state() {
+    return {master_.f32(), m_.f32(), v_.f32()};
+  }
 };
 
 }  // namespace zero::optim

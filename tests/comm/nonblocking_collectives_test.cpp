@@ -356,6 +356,30 @@ TEST_P(NonblockingCollectivesTest, VolumeMatchesBlocking) {
   });
 }
 
+// The fp16 fold runs in stack blocks through the bulk converters; it
+// must equal the scalar widen-op-narrow on every element, across block
+// boundaries and with Inf/NaN arriving from the peer.
+TEST(AccumulateIntoTest, HalfBlocksMatchScalarWidenNarrow) {
+  using P = detail::FpPromote<Half>;
+  for (const std::size_t n : {0u, 1u, 17u, 255u, 256u, 257u, 700u}) {
+    for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax}) {
+      const std::vector<Half> own = RankValues<Half>(1, n);
+      std::vector<Half> peer = RankValues<Half>(2, n);
+      for (std::size_t i = 3; i < n; i += 61) peer[i] = Half::FromBits(0x7C00);
+      for (std::size_t i = 7; i < n; i += 67) peer[i] = Half::FromBits(0xFE01);
+      std::vector<Half> want = own;
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = op == ReduceOp::kMax
+                      ? P::Narrow(std::max(P::Widen(own[i]), P::Widen(peer[i])))
+                      : P::Narrow(P::Widen(own[i]) + P::Widen(peer[i]));
+      }
+      std::vector<Half> got = own;
+      detail::AccumulateInto(got.data(), peer.data(), n, op);
+      EXPECT_EQ(BitsOf(got), BitsOf(want)) << "n=" << n;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(WorldSizes, NonblockingCollectivesTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 

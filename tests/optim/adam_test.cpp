@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "tensor/parallel_for.hpp"
 
 namespace zero::optim {
 namespace {
@@ -113,6 +118,154 @@ TEST(MixedPrecisionAdamTest, F32PathMatchesFunctionalAdam) {
     }
   }
 }
+
+// ---------------------------------------------------------------------
+// Reference: the three-pass pipeline MixedPrecisionAdam ran before the
+// fused kernel, kept verbatim so the fused kernel is pinned bit for bit
+// to it. Pass 1 decodes (fp16) or copies the gradient into a scratch
+// vector and scales it there; pass 2 is the old AdamUpdate loop; pass 3
+// rounds the master weights to fp16 or copies them out.
+// ---------------------------------------------------------------------
+
+void ThreePassAdamUpdate(const AdamConfig& cfg, std::int64_t t,
+                         std::span<float> master, std::span<const float> grad,
+                         std::span<float> m, std::span<float> v) {
+  const float b1 = cfg.beta1;
+  const float b2 = cfg.beta2;
+  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
+  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
+  const float step_size = cfg.lr / bc1;
+  for (std::size_t i = 0; i < master.size(); ++i) {
+    float gi = grad[i];
+    if (cfg.weight_decay != 0.0f) gi += cfg.weight_decay * master[i];
+    m[i] = b1 * m[i] + (1.0f - b1) * gi;
+    v[i] = b2 * v[i] + (1.0f - b2) * gi * gi;
+    const float denom = std::sqrt(v[i] / bc2) + cfg.eps;
+    master[i] -= step_size * m[i] / denom;
+  }
+}
+
+struct ThreePassAdam {
+  AdamConfig cfg;
+  std::vector<float> master, m, v, scratch;
+  std::int64_t t = 0;
+
+  ThreePassAdam(AdamConfig c, const std::vector<float>& init)
+      : cfg(c), master(init), m(init.size(), 0.0f), v(init.size(), 0.0f) {}
+
+  void Step(std::span<Half> params, std::span<const Half> grads,
+            float loss_scale) {
+    const float inv_scale = 1.0f / loss_scale;
+    scratch.resize(grads.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      scratch[i] = grads[i].ToFloat() * inv_scale;
+    }
+    ThreePassAdamUpdate(cfg, ++t, master, scratch, m, v);
+    for (std::size_t i = 0; i < params.size(); ++i) params[i] = Half(master[i]);
+  }
+  void StepFromF32(std::span<Half> params, std::span<const float> grads,
+                   float grad_scale) {
+    scratch.resize(grads.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      scratch[i] = grads[i] * grad_scale;
+    }
+    ThreePassAdamUpdate(cfg, ++t, master, scratch, m, v);
+    for (std::size_t i = 0; i < params.size(); ++i) params[i] = Half(master[i]);
+  }
+  void StepF32(std::span<float> params, std::span<const float> grads,
+               float grad_scale) {
+    scratch.resize(grads.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      scratch[i] = grads[i] * grad_scale;
+    }
+    ThreePassAdamUpdate(cfg, ++t, master, scratch, m, v);
+    std::memcpy(params.data(), master.data(), params.size_bytes());
+  }
+};
+
+template <typename T>
+bool SameBits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// Scaled-gradient-like values with Inf and NaN at a few positions (the
+// overflow a loss-scale skip would normally catch must still flow
+// through the kernel identically).
+std::vector<float> GradValues(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> g(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i] = rng.NextGaussian() * 512.0f;
+    if (i % 97 == 5) g[i] = std::numeric_limits<float>::infinity();
+    if (i % 101 == 9) g[i] = -std::numeric_limits<float>::infinity();
+    if (i % 89 == 13) g[i] = std::numeric_limits<float>::quiet_NaN();
+  }
+  return g;
+}
+
+enum class Path { kF16, kFromF32, kF32 };
+
+// Runs three steps of one entry point on the fused optimizer and the
+// reference and checks params and every state tensor bitwise.
+void ExpectFusedMatchesThreePass(Path path, std::size_t n, float wd) {
+  AdamConfig cfg;
+  cfg.lr = 3e-3f;
+  cfg.weight_decay = wd;
+  Rng rng(n);
+  std::vector<float> init(n);
+  for (float& x : init) x = rng.NextGaussian();
+  MixedPrecisionAdam fused(cfg, nullptr, init);
+  ThreePassAdam ref(cfg, init);
+  const float scale = 1024.0f;
+  for (int t = 1; t <= 3; ++t) {
+    const std::vector<float> g = GradValues(n, 1000 * n + t);
+    const std::string where = "n=" + std::to_string(n) +
+                              " wd=" + std::to_string(wd) +
+                              " t=" + std::to_string(t);
+    if (path == Path::kF32) {
+      std::vector<float> got(n), want(n);
+      fused.StepF32(got, g, 1.0f / scale);
+      ref.StepF32(want, g, 1.0f / scale);
+      ASSERT_TRUE(SameBits<float>(got, want)) << where;
+    } else {
+      std::vector<Half> got(n), want(n);
+      if (path == Path::kF16) {
+        std::vector<Half> g16(n);
+        FloatToHalf(g.data(), g16.data(), n);
+        fused.Step(got, g16, scale);
+        ref.Step(want, g16, scale);
+      } else {
+        fused.StepFromF32(got, g, 1.0f / scale);
+        ref.StepFromF32(want, g, 1.0f / scale);
+      }
+      ASSERT_TRUE(SameBits<Half>(got, want)) << where;
+    }
+    ASSERT_TRUE(SameBits<float>(fused.master(), ref.master)) << where;
+    ASSERT_TRUE(SameBits<float>(fused.momentum(), ref.m)) << where;
+    ASSERT_TRUE(SameBits<float>(fused.variance(), ref.v)) << where;
+  }
+}
+
+class FusedAdamTest : public ::testing::TestWithParam<Path> {};
+
+TEST_P(FusedAdamTest, BitwiseEqualToThreePassPipeline) {
+  // Lengths straddle the 16-wide vector body, the 256-element block and
+  // the 4096-element intra-op chunk.
+  for (const int workers : {1, 4}) {
+    tensor::IntraOpWorkersGuard guard(workers);
+    for (const std::size_t n : {1u, 15u, 17u, 255u, 257u, 4097u, 10007u}) {
+      for (const float wd : {0.0f, 0.01f}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ExpectFusedMatchesThreePass(GetParam(), n, wd);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEntryPoints, FusedAdamTest,
+                         ::testing::Values(Path::kF16, Path::kFromF32,
+                                           Path::kF32));
 
 TEST(MixedPrecisionAdamTest, RejectsMismatchedShards) {
   std::vector<float> init(8, 0.0f);
