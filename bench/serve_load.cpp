@@ -42,10 +42,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "gate.hpp"
+#include "common/env.hpp"
 #include "core/state_checkpoint.hpp"
 #include "serve/engine.hpp"
 #include "serve/server.hpp"
@@ -264,7 +266,9 @@ int main(int argc, char** argv) {
   tc.out_min = 2;
   tc.out_max = 8;
   tc.vocab = cfg.vocab;
-  tc.seed = serve::ServeSeedFromEnv(42);
+  tc.seed = EnvUint("ZERO_SERVE_SEED",
+                    std::numeric_limits<std::uint64_t>::max())
+                .value_or(42);
   const auto traffic = serve::GenerateOpenLoopTraffic(tc);
 
   std::printf(

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, the comm and obs suites under
-# AddressSanitizer + UBSan, then the whole suite again under
+# CI entry point: release build + tests, the common, comm, obs and optim
+# suites under AddressSanitizer + UBSan, then the whole suite again under
 # ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes, so
 # TSan is the check that actually matters for the comm layer — in
 # particular the nonblocking request path that overlaps stage-2 gradient
@@ -155,15 +155,31 @@ serve_completed=$(sed -n 's/.*"completed": \([0-9]*\).*/\1/p' \
 test "${serve_offered}" -gt 100
 test "${serve_completed}" -eq "${serve_offered}"
 
-echo "==> asan: comm + obs + optim suites under AddressSanitizer + UBSan"
-# The ring machines, the p2p request layer and the qwZ wire format, the
-# telemetry layer (trace rings, metrics registries, the Chrome
-# serializer and the flight recorder), then the fused Adam kernel (stack
-# block buffers, __restrict pointers) under the asan preset, with
-# LeakSanitizer on. halt_on_error makes the first UBSan report fail the
-# run (ASan already aborts on its first report).
+echo "==> smoke: malformed ZERO_* knobs are rejected by name"
+# The environment parser (common/env.hpp) accepts only values that parse
+# completely and in range: train_gpt_mini must exit non-zero and name
+# the variable on stderr rather than train with a silently-zeroed knob.
+for knob in ZERO_PREFETCH=abc ZERO_COMM_DEADLINE_MS=-1 ZERO_QWZ=no; do
+  if env "${knob}" ./build/examples/train_gpt_mini 3 2 1 1 \
+    >/dev/null 2>build/smoke_env.err; then
+    echo "FAIL: ${knob} was accepted"
+    exit 1
+  fi
+  grep -q "${knob%%=*}" build/smoke_env.err
+done
+
+echo "==> asan: common + comm + obs + optim suites under AddressSanitizer + UBSan"
+# The environment parser (it reads outside input), the ring machines,
+# the p2p request layer and the qwZ wire format, the telemetry layer
+# (trace rings, metrics registries, the Chrome serializer and the flight
+# recorder), then the fused Adam kernel (stack block buffers, __restrict
+# pointers) under the asan preset, with LeakSanitizer on. halt_on_error
+# makes the first UBSan report fail the run (ASan already aborts on its
+# first report).
 cmake --preset asan >/dev/null
-cmake --build --preset asan --target test_comm test_obs test_optim -j "${JOBS}"
+cmake --build --preset asan --target test_common test_comm test_obs \
+  test_optim -j "${JOBS}"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_common
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_comm
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_obs
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_optim

@@ -16,16 +16,20 @@
 // copy-on-write prefix KV cache and gives each tenant a shared
 // system-prompt prefix so the index actually gets hits. With
 // ZERO_TRACE set the run records serve/step, serve/plan, serve/commit
-// and serve/decode spans into a Chrome trace. With mp > 1 the engine
-// shards every projection across `mp` ranks Megatron-style and each
-// rank runs the same serve loop in lockstep.
+// and serve/decode spans into a Chrome trace. A malformed value exits 2
+// naming the variable. With mp > 1 the engine shards every projection
+// across `mp` ranks Megatron-style and each rank runs the same serve
+// loop in lockstep.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 
 #include "comm/communicator.hpp"
 #include "comm/world.hpp"
+#include "common/env.hpp"
+#include "common/error.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
@@ -34,7 +38,9 @@
 #include "serve/server.hpp"
 #include "serve/traffic_gen.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace zero;
 
   const char* ckpt = argc > 1 ? argv[1] : "-";
@@ -50,12 +56,8 @@ int main(int argc, char** argv) {
   io.model.heads = 4;
   io.kv_block_tokens = 8;
   io.kv_max_blocks = 64;
-  if (const char* w = std::getenv("ZERO_SERVE_WEIGHTS");
-      w != nullptr && *w != '\0') {
-    io.weights = w;
-  }
-  const char* pc = std::getenv("ZERO_SERVE_PREFIX_CACHE");
-  const bool prefix_cache = pc != nullptr && *pc != '\0' && *pc != '0';
+  if (auto w = EnvString("ZERO_SERVE_WEIGHTS")) io.weights = *w;
+  const bool prefix_cache = EnvFlag("ZERO_SERVE_PREFIX_CACHE").value_or(false);
   io.prefix_cache = prefix_cache;
 
   serve::TrafficConfig tc;
@@ -67,7 +69,9 @@ int main(int argc, char** argv) {
   tc.out_min = 1;
   tc.out_max = 6;
   tc.vocab = io.model.vocab;
-  tc.seed = serve::ServeSeedFromEnv(42);
+  tc.seed = EnvUint("ZERO_SERVE_SEED",
+                    std::numeric_limits<std::uint64_t>::max())
+                .value_or(42);
   // Shared per-tenant system prompts make the prefix index earn hits.
   if (prefix_cache) tc.prefix_len = 4;
   const auto traffic = serve::GenerateOpenLoopTraffic(tc);
@@ -77,7 +81,11 @@ int main(int argc, char** argv) {
   so.scheduler.max_step_tokens = 32;
   so.scheduler.max_seq = io.model.seq;
 
-  obs::TelemetryOptions telemetry = obs::TelemetryOptions::FromEnv();
+  obs::TelemetryOptions telemetry;
+  if (auto trace = EnvString("ZERO_TRACE")) {
+    telemetry.enabled = true;
+    telemetry.trace_path = *trace;
+  }
   telemetry.ResolvePaths();
   if (telemetry.enabled) {
     obs::SetTraceBufferCapacity(telemetry.trace_buffer_events);
@@ -180,4 +188,15 @@ int main(int argc, char** argv) {
                 "sample)\n");
   }
   return summary.completed > 0 && artifacts_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const zero::ConfigError& e) {
+    std::fprintf(stderr, "serve_gpt_mini: %s\n", e.what());
+    return 2;
+  }
 }

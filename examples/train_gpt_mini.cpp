@@ -5,18 +5,23 @@
 //
 // Prints a loss curve, final perplexity, and the per-rank memory and
 // communication report that a real ZeRO user would read after a run.
-// With ZERO_TRACE=/path/trace.json set (or engine.telemetry filled in),
-// the run also emits a Chrome trace, a per-step metrics dump, and a
-// step report validating the paper's memory/communication equations
-// against the measured run.
+// The ZERO_* training knobs apply through core::ApplyEnv (README,
+// "Environment knobs"); a malformed value exits 2 naming the variable.
+// With ZERO_TRACE=/path/trace.json set, the run also emits a Chrome
+// trace, a per-step metrics dump, and a step report validating the
+// paper's memory/communication equations against the measured run.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/env.hpp"
+#include "common/error.hpp"
 #include "core/trainer.hpp"
 #include "obs/telemetry.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int Run(int argc, char** argv) {
   using namespace zero;
 
   const int stage_arg = argc > 1 ? std::atoi(argv[1]) : 2;
@@ -41,11 +46,11 @@ int main(int argc, char** argv) {
   options.zero_r.partition_activations = mp > 1;
   // ZERO_CKPT=/path/ckpt.bin writes a full-state checkpoint at the end
   // of the run (and every 10 steps) that serve_gpt_mini loads directly.
-  if (const char* ckpt = std::getenv("ZERO_CKPT");
-      ckpt != nullptr && ckpt[0] != '\0') {
-    options.engine.checkpoint_path = ckpt;
+  if (auto ckpt = EnvString("ZERO_CKPT")) {
+    options.engine.checkpoint_path = *ckpt;
     options.engine.checkpoint_every_n_steps = steps < 10 ? steps : 10;
   }
+  core::ApplyEnv(options.engine);
 
   std::printf("training GPT-mini: stage %d, dp=%d, mp=%d, %d steps\n",
               stage_arg, dp, mp, steps);
@@ -82,9 +87,7 @@ int main(int argc, char** argv) {
               static_cast<double>(r0.dp_comm.bytes_sent) / 1e3,
               static_cast<double>(r0.mp_comm.bytes_sent) / 1e3);
 
-  obs::TelemetryOptions telemetry = options.engine.telemetry.enabled
-                                        ? options.engine.telemetry
-                                        : obs::TelemetryOptions::FromEnv();
+  obs::TelemetryOptions telemetry = options.engine.telemetry;
   if (telemetry.enabled) {
     telemetry.ResolvePaths();
     std::printf("\ntelemetry artifacts:\n");
@@ -106,4 +109,15 @@ int main(int argc, char** argv) {
                 "and paper-equation report)\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const zero::ConfigError& e) {
+    std::fprintf(stderr, "train_gpt_mini: %s\n", e.what());
+    return 2;
+  }
 }

@@ -2,6 +2,7 @@
 
 #include "obs/metrics.hpp"
 
+#include <new>
 #include <utility>
 
 namespace zero::alloc {
@@ -29,12 +30,12 @@ Allocation& Allocation::operator=(Allocation&& other) noexcept {
 
 std::byte* Allocation::data() {
   ZERO_CHECK(owner_ != nullptr, "dereferencing a released Allocation");
-  return owner_->storage_.data() + offset_;
+  return owner_->storage_.get() + offset_;
 }
 
 const std::byte* Allocation::data() const {
   ZERO_CHECK(owner_ != nullptr, "dereferencing a released Allocation");
-  return owner_->storage_.data() + offset_;
+  return owner_->storage_.get() + offset_;
 }
 
 void Allocation::Release() {
@@ -49,7 +50,8 @@ DeviceMemory::DeviceMemory(std::size_t capacity, std::string name,
     : capacity_(AlignUp(capacity)),
       name_(std::move(name)),
       policy_(policy),
-      storage_(capacity_) {
+      storage_(static_cast<std::byte*>(std::calloc(capacity_, 1))) {
+  if (storage_ == nullptr) throw std::bad_alloc();
   free_blocks_[0] = capacity_;
 }
 

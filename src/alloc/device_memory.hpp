@@ -15,9 +15,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -111,7 +112,13 @@ class DeviceMemory {
   std::size_t capacity_;
   std::string name_;
   FitPolicy policy_;
-  std::vector<std::byte> storage_;
+  // Zero-filled by calloc, so the OS commits pages on first touch and a
+  // 256 MiB device costs no up-front memset. Rank setup must stay short:
+  // peers already wait in setup collectives under the heartbeat deadline.
+  struct FreeBytes {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::byte[], FreeBytes> storage_;
   std::map<std::size_t, std::size_t> free_blocks_;  // offset -> size
   std::map<std::size_t, std::size_t> live_blocks_;  // offset -> size
   std::size_t in_use_ = 0;

@@ -3,9 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -15,15 +15,17 @@ namespace {
 std::mutex g_emit_mutex;
 thread_local int tl_log_rank = -1;
 
+// Warns and defaults instead of throwing: the logger must work before
+// anything can catch an exception.
 int InitialLevel() {
-  if (const char* env = std::getenv("ZERO_LOG_LEVEL")) {
-    if (std::optional<LogLevel> parsed = ParseLogLevel(env)) {
+  if (const std::optional<std::string> env = EnvString("ZERO_LOG_LEVEL")) {
+    if (std::optional<LogLevel> parsed = ParseLogLevel(*env)) {
       return static_cast<int>(*parsed);
     }
     std::fprintf(stderr,
                  "[zero WARN ] ignoring unrecognized ZERO_LOG_LEVEL=\"%s\" "
                  "(want debug/info/warn/error)\n",
-                 env);
+                 env->c_str());
   }
   return static_cast<int>(LogLevel::kWarn);
 }

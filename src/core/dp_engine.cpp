@@ -116,16 +116,15 @@ void ZeroDpEngine::InitState(std::uint64_t seed) {
           ? std::span<const float>(init.data() + own.begin,
                                    static_cast<std::size_t>(shard))
           : std::span<const float>(init);
-  const alloc::TierKind tier_kind = cfg_.resolved_offload_tier();
-  if (tier_kind == alloc::TierKind::kDevice) {
+  if (cfg_.offload_tier == alloc::TierKind::kDevice) {
     opt_ = std::make_unique<optim::MixedPrecisionAdam>(cfg_.adam, device_,
                                                        opt_init);
   } else {
-    if (tier_kind == alloc::TierKind::kHost && host_pool_ == nullptr) {
+    if (cfg_.offload_tier == alloc::TierKind::kHost && host_pool_ == nullptr) {
       owned_host_.emplace();
       host_pool_ = &*owned_host_;
     }
-    tier_ = alloc::MakeStorageTier(tier_kind, host_pool_, device_,
+    tier_ = alloc::MakeStorageTier(cfg_.offload_tier, host_pool_, device_,
                                    cfg_.offload_bandwidth);
     OffloadOptions opts;
     opts.slice_elems = cfg_.offload_slice_elems;
@@ -454,8 +453,7 @@ ModelStateReport ZeroDpEngine::MeasureModelStates() const {
   r.optimizer_bytes = static_cast<std::size_t>(
       static_cast<double>(opt_->numel()) *
       optim::MixedPrecisionAdam::kStateBytesPerParam);
-  r.optimizer_on_host =
-      cfg_.resolved_offload_tier() != alloc::TierKind::kDevice;
+  r.optimizer_on_host = cfg_.offload_tier != alloc::TierKind::kDevice;
   return r;
 }
 

@@ -62,7 +62,7 @@ struct ModelStateReport {
   std::size_t param_bytes = 0;
   std::size_t grad_bytes = 0;
   std::size_t optimizer_bytes = 0;
-  bool optimizer_on_host = false;  // offload_optimizer moved it off-device
+  bool optimizer_on_host = false;  // offload_tier moved it off-device
   [[nodiscard]] std::size_t total() const {
     return param_bytes + grad_bytes + optimizer_bytes;
   }

@@ -29,20 +29,13 @@ struct EngineConfig {
   // Global gradient-norm clipping (0 disables). The norm spans the whole
   // model, so partitioned stages all-reduce their shard norms first.
   float max_grad_norm = 0.0f;
-  // Optimizer-state offload to host memory (the direction the paper's
-  // Sec 2.2.2 contrasts with and ZeRO-Offload later implemented): the
-  // fp32 master/momentum/variance live in CPU memory; each update moves
-  // the reduced gradient shard to the host and the updated fp16
-  // parameters back, removing the K*Psi/Nd term from device memory at
-  // 4 bytes/param/step of PCIe traffic. Shorthand for
-  // offload_tier = kHost; the explicit tier below wins when set.
-  bool offload_optimizer = false;
   // Storage tier for the fp32 optimizer state (alloc/tier.hpp +
-  // core/offload_engine.hpp): kDevice keeps the non-offloaded baseline,
-  // kHost streams through host DRAM (ZeRO-Offload), kNvme through the
-  // simulated NVMe tier (ZeRO-Infinity). Bit-exact vs kDevice at every
-  // stage. Env ZERO_OFFLOAD (host|nvme|1|0) applies when this is
-  // kDevice and offload_optimizer is false.
+  // core/offload_engine.hpp). kDevice keeps the non-offloaded baseline.
+  // kHost streams through host DRAM: the optimizer-state offload the
+  // paper's Sec 2.2.2 contrasts with and ZeRO-Offload later implemented,
+  // removing the K*Psi/Nd term from device memory. kNvme goes through
+  // the simulated NVMe tier (ZeRO-Infinity). Bit-exact vs kDevice at
+  // every stage.
   alloc::TierKind offload_tier = alloc::TierKind::kDevice;
   // Simulated link bandwidth for the offload tier in bytes/second;
   // 0 = instant link (tests). The bench sets PCIe/NVMe-like speeds.
@@ -61,13 +54,6 @@ struct EngineConfig {
   // would exceed it. 0 = unlimited.
   std::size_t offload_max_inflight_bytes = 0;
 
-  // The tier the engine will actually use once the offload_optimizer
-  // shorthand is folded in.
-  [[nodiscard]] alloc::TierKind resolved_offload_tier() const {
-    if (offload_tier != alloc::TierKind::kDevice) return offload_tier;
-    return offload_optimizer ? alloc::TierKind::kHost
-                             : alloc::TierKind::kDevice;
-  }
   // CB (Sec 6.2): collectives on gradient partitions are issued through
   // a constant-size fused buffer of at most this many elements, rather
   // than one model-size-proportional buffer.
@@ -76,7 +62,7 @@ struct EngineConfig {
   // redistribute). Exact across stages; used by equivalence tests.
   bool exact_reductions = false;
   // Intra-op worker budget for the CPU kernels (tensor/parallel_for.hpp).
-  // 0 leaves the process-wide setting alone (env ZERO_INTRAOP_WORKERS,
+  // 0 leaves the process-wide setting alone (ZERO_INTRAOP_WORKERS,
   // default serial); positive values are clamped so that
   // rank_threads x workers never exceeds the hardware thread count.
   int intra_op_workers = 0;
@@ -87,8 +73,7 @@ struct EngineConfig {
   // ParamPrefetcher (core/stages/param_prefetcher.hpp): AcquireUnit
   // completes an already-launched nonblocking gather instead of issuing
   // a cold blocking broadcast. 0 (default) keeps the blocking path. The
-  // prefetched path is bit-exact vs blocking. Env ZERO_PREFETCH applies
-  // when this is 0.
+  // prefetched path is bit-exact vs blocking.
   int prefetch_lookahead = 0;
   // Device-memory budget for in-flight prefetched units, in bytes. 0
   // derives the budget from the group-wide minimum free device memory;
@@ -105,15 +90,13 @@ struct EngineConfig {
   bool hierarchical_comm = false;
   // DP-group ranks per "node" block. <= 1 means flat; a DP degree that
   // does not divide evenly falls back to flat for the schedules that
-  // need equal node sizes (hierarchical all-reduce, hpZ, qgZ). Env
-  // ZERO_RANKS_PER_NODE applies when this is 1.
+  // need equal node sizes (hierarchical all-reduce, hpZ, qgZ).
   int ranks_per_node = 1;
 
   // ---- ZeRO++ communication compression (arXiv:2306.10209) ----
   // All three paths require fp16 mode, are lossy-but-deterministic, and
   // are disabled wholesale by exact_reductions (the bit-exact escape
-  // hatch). Env knobs ZERO_QWZ / ZERO_HPZ / ZERO_QGZ apply when the
-  // fields are false.
+  // hatch).
   //
   // qwZ: parameter all-gathers/broadcasts (stage-3 unit materialization
   // incl. prefetch, stage-1/2 post-update re-gather) ship blockwise int8
@@ -141,26 +124,40 @@ struct EngineConfig {
   std::size_t hpz_max_bytes = 0;
 
   // Runtime telemetry: tracing/metrics/step-report switches for the run.
-  // TelemetryOptions::FromEnv() honors ZERO_TRACE; spans are compiled in
-  // regardless and cost ~a relaxed atomic load while disabled.
+  // Spans are compiled in regardless and cost ~a relaxed atomic load
+  // while disabled.
   obs::TelemetryOptions telemetry;
 
   // ---- fault tolerance (src/fault/, src/comm/health.hpp) ----
   // Heartbeat-based failure detection: bounded communicator waits with
   // this deadline; a silent peer is declared dead and every survivor
   // unwinds with a typed CommError instead of deadlocking. 0 (default)
-  // keeps classic unbounded blocking. Env ZERO_COMM_DEADLINE_MS applies
-  // when this is 0.
+  // keeps classic unbounded blocking.
   std::uint64_t comm_deadline_ms = 0;
   // Elastic checkpointing: every N applied steps, all ranks collectively
   // ExportState and rank 0 writes the Nd-independent TrainingState to
   // checkpoint_path (latest wins). 0 disables.
   int checkpoint_every_n_steps = 0;
   std::string checkpoint_path;
-  // Deterministic fault injection, same grammar as the ZERO_FAULT env
-  // variable (see fault/fault_plan.hpp). The explicit spec wins over the
-  // environment; empty + no env means no injection and no overhead.
+  // Deterministic fault injection (grammar in fault/fault_plan.hpp).
+  // Empty means no injection and no overhead.
   std::string fault_spec;
 };
+
+// The training overlay of the ZERO_* environment knobs (common/env.hpp),
+// for binaries that want the shell to configure a run; the library
+// itself never reads the environment. Each set variable overwrites its
+// field and an unset one leaves the field alone:
+//   ZERO_PREFETCH          prefetch_lookahead
+//   ZERO_QWZ / ZERO_HPZ / ZERO_QGZ   qwz / hpz / qgz (0 or 1)
+//   ZERO_RANKS_PER_NODE    ranks_per_node
+//   ZERO_OFFLOAD           offload_tier (device, host or nvme)
+//   ZERO_OFFLOAD_BW        offload_bandwidth (bytes/second)
+//   ZERO_COMM_DEADLINE_MS  comm_deadline_ms
+//   ZERO_FAULT             fault_spec
+//   ZERO_TRACE             telemetry.enabled + telemetry.trace_path
+//   ZERO_POSTMORTEM        telemetry.postmortem_dir
+// A malformed value throws zero::ConfigError naming the variable.
+void ApplyEnv(EngineConfig& config);
 
 }  // namespace zero::core

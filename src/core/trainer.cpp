@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "common/logging.hpp"
@@ -52,82 +50,20 @@ TrainResult TrainGpt(const TrainOptions& options) {
   comm::World world(world_size);
   comm::GridTopology grid(world_size, options.cluster.mp_degree);
 
-  // Fault tolerance: an explicit config spec wins over ZERO_FAULT.
   fault::FaultPlan fault_plan =
-      options.engine.fault_spec.empty()
-          ? fault::FaultPlan::FromEnv()
-          : fault::FaultPlan::Parse(options.engine.fault_spec);
+      fault::FaultPlan::Parse(options.engine.fault_spec);
   std::optional<fault::FaultInjector> injector;
   if (!fault_plan.empty()) {
     injector.emplace(std::move(fault_plan), world_size);
     world.SetFaultHooks(&*injector);
   }
-  std::uint64_t deadline_ms = options.engine.comm_deadline_ms;
-  if (deadline_ms == 0) {
-    if (const char* env = std::getenv("ZERO_COMM_DEADLINE_MS")) {
-      deadline_ms = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (deadline_ms != 0) {
-    world.SetCommDeadline(std::chrono::milliseconds(deadline_ms));
+  if (options.engine.comm_deadline_ms != 0) {
+    world.SetCommDeadline(
+        std::chrono::milliseconds(options.engine.comm_deadline_ms));
   }
 
-  // Stage-3 parameter prefetch: explicit config wins over ZERO_PREFETCH.
-  EngineConfig engine_cfg = options.engine;
-  if (engine_cfg.prefetch_lookahead == 0) {
-    if (const char* env = std::getenv("ZERO_PREFETCH")) {
-      engine_cfg.prefetch_lookahead =
-          static_cast<int>(std::strtol(env, nullptr, 10));
-    }
-  }
-
-  // ZeRO++ compression paths and the node size they shard over: explicit
-  // config wins over the ZERO_QWZ / ZERO_HPZ / ZERO_QGZ /
-  // ZERO_RANKS_PER_NODE knobs. The engine still downgrades any flag
-  // whose fp16/exactness/topology preconditions don't hold.
-  const auto env_flag = [](const char* name) {
-    const char* env = std::getenv(name);
-    return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-  };
-  if (!engine_cfg.qwz) engine_cfg.qwz = env_flag("ZERO_QWZ");
-  if (!engine_cfg.hpz) engine_cfg.hpz = env_flag("ZERO_HPZ");
-  if (!engine_cfg.qgz) engine_cfg.qgz = env_flag("ZERO_QGZ");
-  if (engine_cfg.ranks_per_node == 1) {
-    if (const char* env = std::getenv("ZERO_RANKS_PER_NODE")) {
-      engine_cfg.ranks_per_node =
-          static_cast<int>(std::strtol(env, nullptr, 10));
-    }
-  }
-
-  // Optimizer-state offload tier: explicit config wins over ZERO_OFFLOAD
-  // (host | nvme | 1 | 0). ZERO_OFFLOAD_BW sets the simulated link
-  // bandwidth in bytes/second when the config leaves it at 0 (instant).
-  if (engine_cfg.resolved_offload_tier() == alloc::TierKind::kDevice) {
-    if (const char* env = std::getenv("ZERO_OFFLOAD")) {
-      const std::string v(env);
-      if (v == "host" || v == "1") {
-        engine_cfg.offload_tier = alloc::TierKind::kHost;
-      } else if (v == "nvme") {
-        engine_cfg.offload_tier = alloc::TierKind::kNvme;
-      } else {
-        ZERO_CHECK(v == "0" || v.empty(),
-                   "ZERO_OFFLOAD must be host, nvme, 1 or 0");
-      }
-    }
-  }
-  if (engine_cfg.offload_bandwidth == 0.0) {
-    if (const char* env = std::getenv("ZERO_OFFLOAD_BW")) {
-      engine_cfg.offload_bandwidth = std::strtod(env, nullptr);
-    }
-  }
-
-  // Telemetry: explicit config wins; otherwise ZERO_TRACE activates it.
   obs::TelemetryOptions telemetry = options.engine.telemetry;
   telemetry.ResolvePaths();
-  if (!telemetry.enabled) {
-    const obs::TelemetryOptions env = obs::TelemetryOptions::FromEnv();
-    if (env.enabled) telemetry = env;
-  }
   if (telemetry.enabled) {
     // Fresh buffers + zeroed metrics so the artifacts describe this run
     // only. Safe here: no rank thread is recording yet.
@@ -136,19 +72,13 @@ TrainResult TrainGpt(const TrainOptions& options) {
     obs::Metrics().ResetValues();
     obs::EnableTracing();
   }
-  // Flight recorder: config wins, ZERO_POSTMORTEM arms it even when full
+  // Flight recorder: a post-mortem directory arms it even when full
   // telemetry is off (small bounded ring, flushed only on a fault).
-  std::string postmortem_dir = telemetry.postmortem_dir;
-  if (postmortem_dir.empty()) {
-    if (const char* env = std::getenv("ZERO_POSTMORTEM")) {
-      postmortem_dir = env;
-    }
-  }
-  const bool flight_armed = !postmortem_dir.empty();
+  const bool flight_armed = !telemetry.postmortem_dir.empty();
   const bool flight_owns_tracing = flight_armed && !obs::TracingEnabled();
   if (flight_armed) {
     obs::FlightRecorderOptions fr;
-    fr.dir = postmortem_dir;
+    fr.dir = telemetry.postmortem_dir;
     obs::EnableFlightRecorder(fr);
   }
   // Rank-0 measurements feeding the step report, captured inside Run.
@@ -218,7 +148,7 @@ TrainResult TrainGpt(const TrainOptions& options) {
           options.zero_r.activation_checkpointing;
       model::GptModel gpt(model_cfg, session);
 
-      ZeroDpEngine engine(engine_cfg, gpt, dp, &cache, options.seed,
+      ZeroDpEngine engine(options.engine, gpt, dp, &cache, options.seed,
                           &host_mem);
 
       // One shared language (table seed); each DP column reads its own
@@ -317,13 +247,13 @@ TrainResult TrainGpt(const TrainOptions& options) {
         measured_qwz = engine.qwz_active();
         measured_hpz = engine.hpz_active();
         measured_qgz = engine.qgz_active();
-        if (engine_cfg.prefetch_lookahead > 0) {
+        if (options.engine.prefetch_lookahead > 0) {
           measured_overlap_frac =
               obs::Metrics().gauge("comm.overlap_frac").value();
         }
-        if (engine_cfg.resolved_offload_tier() != alloc::TierKind::kDevice) {
+        if (options.engine.offload_tier != alloc::TierKind::kDevice) {
           measured_offload_tier =
-              alloc::TierKindName(engine_cfg.resolved_offload_tier());
+              alloc::TierKindName(options.engine.offload_tier);
           const alloc::HostStats hs = host_mem.Stats();
           measured_host_in_use = static_cast<double>(hs.in_use);
           measured_host_peak = static_cast<double>(hs.peak_in_use);
@@ -442,8 +372,8 @@ TrainResult TrainGpt(const TrainOptions& options) {
       in.qwz = measured_qwz;
       in.hpz = measured_hpz;
       in.qgz = measured_qgz;
-      in.quant_block = engine_cfg.quant_block;
-      in.ranks_per_node = engine_cfg.ranks_per_node;
+      in.quant_block = options.engine.quant_block;
+      in.ranks_per_node = options.engine.ranks_per_node;
       in.measured_local_comm_bytes = measured_local_comm_bytes;
       in.wire_int8_bytes = measured_wire_int8;
       in.wire_scale_bytes = measured_wire_scales;
@@ -468,7 +398,7 @@ TrainResult TrainGpt(const TrainOptions& options) {
         a.stall_ms = ra.stall_ms;
         a.offload_ms = ra.offload_ms;
         a.critical_ms = ra.critical_ms;
-        if (engine_cfg.prefetch_lookahead > 0) {
+        if (options.engine.prefetch_lookahead > 0) {
           a.overlap_frac =
               obs::Metrics()
                   .gauge("comm.overlap_frac.rank" + std::to_string(ra.rank))

@@ -84,8 +84,8 @@ struct TrainResult {
   // logical and partition-padded element counts.
   std::int64_t psi = 0;
   std::int64_t padded_psi = 0;
-  // Measured-vs-analytic validation, populated when telemetry is enabled
-  // for the run (EngineConfig::telemetry or ZERO_TRACE).
+  // Measured-vs-analytic validation, populated when
+  // EngineConfig::telemetry is enabled for the run.
   std::optional<obs::StepReport> report;
 
   [[nodiscard]] float final_loss() const {

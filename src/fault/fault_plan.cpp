@@ -38,8 +38,8 @@ FaultKind ParseKind(const std::string& name, const std::string& spec) {
   if (name == "drop") return FaultKind::kDrop;
   if (name == "delay") return FaultKind::kDelay;
   if (name == "dup") return FaultKind::kDup;
-  throw Error("ZERO_FAULT: unknown fault kind '" + name + "' in '" + spec +
-              "'");
+  throw ConfigError("ZERO_FAULT: unknown fault kind '" + name + "' in '" +
+                    spec + "'");
 }
 
 std::uint64_t ParseDurationNs(const std::string& text,
@@ -50,7 +50,8 @@ std::uint64_t ParseDurationNs(const std::string& text,
   try {
     value = std::stod(text, &pos);
   } catch (const std::exception&) {
-    throw Error("ZERO_FAULT: bad duration '" + text + "' in '" + spec + "'");
+    throw ConfigError("ZERO_FAULT: bad duration '" + text + "' in '" + spec +
+                      "'");
   }
   const std::string unit = text.substr(pos);
   double scale = 1e6;  // bare numbers are milliseconds
@@ -63,8 +64,8 @@ std::uint64_t ParseDurationNs(const std::string& text,
   } else if (unit == "s") {
     scale = 1e9;
   } else {
-    throw Error("ZERO_FAULT: bad duration unit '" + unit + "' in '" + spec +
-                "'");
+    throw ConfigError("ZERO_FAULT: bad duration unit '" + unit + "' in '" +
+                      spec + "'");
   }
   ZERO_CHECK(value >= 0.0, "ZERO_FAULT: negative duration in '" + spec + "'");
   return static_cast<std::uint64_t>(value * scale);
@@ -73,7 +74,7 @@ std::uint64_t ParseDurationNs(const std::string& text,
 FaultRule ParseRule(const std::string& text, const std::string& spec) {
   const std::size_t at = text.find('@');
   if (at == std::string::npos) {
-    throw Error("ZERO_FAULT: rule '" + text + "' is missing '@rank'");
+    throw ConfigError("ZERO_FAULT: rule '" + text + "' is missing '@rank'");
   }
   FaultRule rule;
   rule.kind = ParseKind(text.substr(0, at), spec);
@@ -85,7 +86,7 @@ FaultRule ParseRule(const std::string& text, const std::string& spec) {
   std::size_t pos = 0;
   while (pos < rest.size() && (std::isdigit(rest[pos]) != 0)) ++pos;
   if (pos == 0) {
-    throw Error("ZERO_FAULT: rule '" + text + "' has no rank after '@'");
+    throw ConfigError("ZERO_FAULT: rule '" + text + "' has no rank after '@'");
   }
   rule.rank = std::stoi(rest.substr(0, pos));
 
@@ -106,16 +107,16 @@ FaultRule ParseRule(const std::string& text, const std::string& spec) {
         try {
           rule.occurrence = std::stoull(field);
         } catch (const std::exception&) {
-          throw Error("ZERO_FAULT: bad occurrence '" + field + "' in '" +
-                      text + "'");
+          throw ConfigError("ZERO_FAULT: bad occurrence '" + field +
+                            "' in '" + text + "'");
         }
         break;
       case '%':
         try {
           rule.probability = std::stod(field);
         } catch (const std::exception&) {
-          throw Error("ZERO_FAULT: bad probability '" + field + "' in '" +
-                      text + "'");
+          throw ConfigError("ZERO_FAULT: bad probability '" + field +
+                            "' in '" + text + "'");
         }
         ZERO_CHECK(rule.probability >= 0.0 && rule.probability <= 1.0,
                    "ZERO_FAULT: probability must be in [0,1]: '" + text + "'");
@@ -124,8 +125,8 @@ FaultRule ParseRule(const std::string& text, const std::string& spec) {
         rule.duration_ns = ParseDurationNs(field, spec);
         break;
       default:
-        throw Error("ZERO_FAULT: unexpected '" + std::string(1, marker) +
-                    "' in '" + text + "'");
+        throw ConfigError("ZERO_FAULT: unexpected '" +
+                          std::string(1, marker) + "' in '" + text + "'");
     }
     pos = end;
   }
@@ -177,19 +178,13 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
       try {
         plan.seed = std::stoull(part.substr(5));
       } catch (const std::exception&) {
-        throw Error("ZERO_FAULT: bad seed in '" + spec + "'");
+        throw ConfigError("ZERO_FAULT: bad seed in '" + spec + "'");
       }
       continue;
     }
     plan.rules.push_back(ParseRule(part, spec));
   }
   return plan;
-}
-
-FaultPlan FaultPlan::FromEnv() {
-  const char* spec = std::getenv("ZERO_FAULT");
-  if (spec == nullptr) return {};
-  return Parse(spec);
 }
 
 }  // namespace zero::fault

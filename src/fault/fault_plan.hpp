@@ -1,7 +1,8 @@
 // Declarative, seeded fault schedules.
 //
 // A FaultPlan is a list of rules plus a seed, parsed from a compact spec
-// string (also accepted via the ZERO_FAULT environment variable):
+// string (EngineConfig::fault_spec; binaries that honour ZERO_FAULT copy
+// it there through core::ApplyEnv):
 //
 //   spec     := [ "seed=" N ";" ] rule { ";" rule }
 //   rule     := kind "@" rank [ ":" site ] [ "#" occurrence ]
@@ -64,11 +65,9 @@ struct FaultPlan {
   [[nodiscard]] bool empty() const { return rules.empty(); }
   [[nodiscard]] std::string ToSpec() const;
 
-  // Throws zero::Error on malformed specs. An empty/whitespace spec
-  // yields an empty plan.
+  // Throws zero::ConfigError on malformed specs. An empty/whitespace
+  // spec yields an empty plan.
   static FaultPlan Parse(const std::string& spec);
-  // Reads ZERO_FAULT; empty plan when unset.
-  static FaultPlan FromEnv();
 };
 
 }  // namespace zero::fault

@@ -1,6 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "common/logging.hpp"
@@ -13,21 +12,6 @@ TelemetryOptions& TelemetryOptions::ResolvePaths() {
     if (report_path.empty()) report_path = trace_path + ".report.json";
   }
   return *this;
-}
-
-TelemetryOptions TelemetryOptions::FromEnv() {
-  TelemetryOptions opts;
-  if (const char* env = std::getenv("ZERO_TRACE")) {
-    if (env[0] != '\0') {
-      opts.enabled = true;
-      opts.trace_path = env;
-      opts.ResolvePaths();
-    }
-  }
-  if (const char* env = std::getenv("ZERO_POSTMORTEM")) {
-    if (env[0] != '\0') opts.postmortem_dir = env;
-  }
-  return opts;
 }
 
 bool WriteTextFile(const std::string& path, std::string_view text) {

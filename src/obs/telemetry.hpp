@@ -1,17 +1,14 @@
 // Run-level telemetry switches, threaded through EngineConfig into the
 // trainer. Tracing is always compiled in; these options decide whether
-// the recorder is turned on for a run and where artifacts land.
-//
-// Environment activation: setting ZERO_TRACE=/path/to/trace.json turns
-// telemetry on for any binary that consults FromEnv (the trainer and the
-// examples do). The trace itself is the merged, skew-corrected
-// cross-rank timeline (obs/chrome_trace.hpp); the metrics snapshot and
-// step report derive their paths from the trace path unless overridden:
+// the recorder is turned on for a run and where artifacts land. The
+// trace itself is the merged, skew-corrected cross-rank timeline
+// (obs/chrome_trace.hpp); the metrics snapshot and step report derive
+// their paths from the trace path unless overridden:
 //   <trace>.metrics.json    per-step metrics registry snapshots
 //   <trace>.report.json     paper-equation step report
-// ZERO_POSTMORTEM=/path/to/dir independently arms the flight recorder
-// (obs/flight_recorder.hpp): a faulted run flushes a post-mortem bundle
-// there even when ZERO_TRACE is unset.
+// The library reads no environment: a binary that honours ZERO_TRACE
+// and ZERO_POSTMORTEM maps them onto these fields through
+// core::ApplyEnv (core/engine_config.hpp) or common/env.hpp.
 #pragma once
 
 #include <string>
@@ -36,8 +33,7 @@ struct TelemetryOptions {
   // Flight-recorder post-mortem bundle root ("" = disarmed). Unlike the
   // artifacts above this is independent of `enabled`: the recorder arms
   // a small bounded ring even when full telemetry is off, and only
-  // writes when a fault kills the run. Set via EngineConfig::telemetry
-  // or the ZERO_POSTMORTEM env var.
+  // writes when a fault kills the run.
   std::string postmortem_dir;
 
   // Run the paper-equation validation (memory 4x/8x/Nd, comm 1x/1x/1.5x)
@@ -49,10 +45,6 @@ struct TelemetryOptions {
 
   // Fills the derived paths in place and returns self.
   TelemetryOptions& ResolvePaths();
-
-  // Reads ZERO_TRACE; a non-empty value enables telemetry with that
-  // trace path and derived metrics/report paths.
-  static TelemetryOptions FromEnv();
 };
 
 // Writes `text` to `path`, creating or truncating it. Every telemetry

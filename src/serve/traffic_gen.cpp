@@ -1,7 +1,6 @@
 #include "serve/traffic_gen.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,15 +17,6 @@ constexpr std::uint64_t kRequestStreamBase = 1000;
 // per-request streams, keyed by tenant id.
 constexpr std::uint64_t kTenantPrefixStreamBase = 500;
 }  // namespace
-
-std::uint64_t ServeSeedFromEnv(std::uint64_t fallback) {
-  const char* env = std::getenv("ZERO_SERVE_SEED");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return fallback;
-  return static_cast<std::uint64_t>(v);
-}
 
 std::vector<ServeRequest> GenerateOpenLoopTraffic(
     const TrafficConfig& config) {

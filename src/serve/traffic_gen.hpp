@@ -7,8 +7,9 @@
 // Determinism follows the `src/fault` splitmix64 discipline: one root
 // seed, one Split stream for the arrival process, one Split stream per
 // request for its content, so the same seed replays the same trace
-// bit-identically on every rank and every run. The root seed comes from
-// the `ZERO_SERVE_SEED` environment knob when set.
+// bit-identically on every rank and every run. The root seed is
+// TrafficConfig::seed; the serving binaries take it from ZERO_SERVE_SEED
+// when set (through common/env.hpp).
 #pragma once
 
 #include <cstdint>
@@ -36,9 +37,6 @@ struct TrafficConfig {
   // the tail draws consume the same stream positions either way.
   std::int32_t prefix_len = 0;
 };
-
-// ZERO_SERVE_SEED when set and parseable, else `fallback`.
-[[nodiscard]] std::uint64_t ServeSeedFromEnv(std::uint64_t fallback);
 
 // All arrivals within [0, duration_s), sorted by arrival time, ids 0..n.
 [[nodiscard]] std::vector<ServeRequest> GenerateOpenLoopTraffic(

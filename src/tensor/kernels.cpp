@@ -677,52 +677,6 @@ void BiasGeluBackward(const float* z, const float* dy, float* dx,
   }
 }
 
-void BiasReluForward(const float* x, const float* bias, float* z, float* y,
-                     std::int64_t rows, std::int64_t cols) {
-  ParallelFor(0, rows, RowGrain(cols), [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const float* xr = x + r * cols;
-      float* zr = z + r * cols;
-      float* yr = y + r * cols;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        const float v = xr[c] + bias[c];
-        zr[c] = v;
-        yr[c] = v > 0.0f ? v : 0.0f;
-      }
-    }
-  });
-}
-
-void BiasReluBackward(const float* z, const float* dy, float* dx,
-                      float* dbias, std::int64_t rows, std::int64_t cols) {
-  const std::int64_t nchunks = (rows + kRowChunk - 1) / kRowChunk;
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  float* partials =
-      scratch.AllocateT<float>(static_cast<std::size_t>(nchunks * cols));
-  ParallelFor(0, nchunks, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-      float* p = partials + ch * cols;
-      std::memset(p, 0, static_cast<std::size_t>(cols) * sizeof(float));
-      const std::int64_t r1 = std::min(rows, (ch + 1) * kRowChunk);
-      for (std::int64_t r = ch * kRowChunk; r < r1; ++r) {
-        const float* zr = z + r * cols;
-        const float* dyr = dy + r * cols;
-        float* dxr = dx + r * cols;
-        for (std::int64_t c = 0; c < cols; ++c) {
-          const float g = zr[c] > 0.0f ? dyr[c] : 0.0f;
-          dxr[c] = g;
-          p[c] += g;
-        }
-      }
-    }
-  });
-  for (std::int64_t ch = 0; ch < nchunks; ++ch) {
-    const float* p = partials + ch * cols;
-    for (std::int64_t c = 0; c < cols; ++c) dbias[c] += p[c];
-  }
-}
-
 void LayerNormForward(const float* x, const float* gamma, const float* beta,
                       float* y, float* mean, float* rstd, std::int64_t rows,
                       std::int64_t cols, float eps) {

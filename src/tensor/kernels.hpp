@@ -96,10 +96,6 @@ void BiasGeluForward(const float* x, const float* bias, float* z, float* y,
                      std::int64_t rows, std::int64_t cols);
 void BiasGeluBackward(const float* z, const float* dy, float* dx,
                       float* dbias, std::int64_t rows, std::int64_t cols);
-void BiasReluForward(const float* x, const float* bias, float* z, float* y,
-                     std::int64_t rows, std::int64_t cols);
-void BiasReluBackward(const float* z, const float* dy, float* dx,
-                      float* dbias, std::int64_t rows, std::int64_t cols);
 
 // Row-wise layer norm over `cols` features. mean/rstd ([rows]) are saved
 // for backward.

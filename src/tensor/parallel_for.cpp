@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -17,12 +18,16 @@ namespace zero::tensor {
 
 namespace {
 
+// ZERO_INTRAOP_WORKERS, read once; unset or 0 means serial.
 int EnvWorkers() {
-  const char* s = std::getenv("ZERO_INTRAOP_WORKERS");
-  if (s == nullptr) return 1;
-  const long v = std::strtol(s, nullptr, 10);
-  if (v < 1) return 1;
-  return static_cast<int>(std::min<long>(v, HardwareConcurrency() * 4));
+  static const int workers = [] {
+    const std::uint64_t v =
+        EnvUint("ZERO_INTRAOP_WORKERS", std::numeric_limits<int>::max())
+            .value_or(1);
+    return static_cast<int>(std::clamp<std::uint64_t>(
+        v, 1, static_cast<std::uint64_t>(HardwareConcurrency()) * 4));
+  }();
+  return workers;
 }
 
 std::atomic<int>& ConfiguredWorkers() {

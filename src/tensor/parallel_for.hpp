@@ -32,8 +32,8 @@ namespace zero::tensor {
 [[nodiscard]] int HardwareConcurrency();
 
 // Global intra-op worker budget. 0 resets to the environment default
-// (ZERO_INTRAOP_WORKERS, else 1 = serial). Values are clamped to
-// [1, HardwareConcurrency() * 4] defensively.
+// (ZERO_INTRAOP_WORKERS, read once; else 1 = serial). Values are
+// clamped to [1, HardwareConcurrency() * 4] defensively.
 void SetIntraOpWorkers(int n);
 [[nodiscard]] int IntraOpWorkers();
 

@@ -1,4 +1,4 @@
-// Optimizer-state offload (EngineConfig::offload_optimizer): the K*Psi/Nd
+// Optimizer-state offload (EngineConfig::offload_tier = kHost): the K*Psi/Nd
 // fp32 state moves to host memory without changing a single computed bit.
 #include <gtest/gtest.h>
 
@@ -37,7 +37,7 @@ TEST(OffloadOptimizerTest, TrajectoryIsBitwiseIdentical) {
       EngineConfig cfg;
       cfg.stage = ZeroStage::kOsG;
       cfg.fp16 = true;
-      cfg.offload_optimizer = offload;
+      if (offload) cfg.offload_tier = alloc::TierKind::kHost;
       ZeroDpEngine engine(cfg, m, dp, nullptr, 3);
       for (int s = 0; s < 4; ++s) {
         (void)engine.TrainStep(MakeBatch(ctx.rank, s));
@@ -68,7 +68,7 @@ TEST(OffloadOptimizerTest, DeviceMemoryDropsByK) {
 
     alloc::DeviceMemory dev_b(4ull << 20, "offload");
     alloc::CachingAllocator cache_b(dev_b);
-    cfg.offload_optimizer = true;
+    cfg.offload_tier = alloc::TierKind::kHost;
     ZeroDpEngine offloaded(cfg, m, dp, &cache_b, 3);
 
     const std::size_t shard = static_cast<std::size_t>(numel) / nd;
@@ -93,7 +93,7 @@ TEST(OffloadOptimizerTest, TransferAccountingPerStep) {
     EngineConfig cfg;
     cfg.stage = ZeroStage::kOsG;
     cfg.fp16 = true;
-    cfg.offload_optimizer = true;
+    cfg.offload_tier = alloc::TierKind::kHost;
     ZeroDpEngine engine(cfg, m, dp, nullptr, 3);
     EXPECT_EQ(engine.optimizer_transfer_bytes(), 0u);
     (void)engine.TrainStep(MakeBatch(ctx.rank, 0));
@@ -113,7 +113,7 @@ TEST(OffloadOptimizerTest, ComposesWithAccumulationAndCheckpointing) {
     EngineConfig cfg;
     cfg.stage = ZeroStage::kOsGP;
     cfg.fp16 = true;
-    cfg.offload_optimizer = true;
+    cfg.offload_tier = alloc::TierKind::kHost;
     cfg.accumulation_steps = 2;
     ZeroDpEngine engine(cfg, m, dp, nullptr, 3);
     for (int s = 0; s < 4; ++s) {

@@ -1,13 +1,15 @@
 // Trainer-level fault wiring: periodic elastic checkpoints, the
-// ZERO_FAULT/fault_spec injection path, and failure reporting in
-// TrainResult.
+// fault_spec injection path (ZERO_FAULT reaches it only through
+// ApplyEnv), and failure reporting in TrainResult.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "core/state_checkpoint.hpp"
 #include "core/trainer.hpp"
+#include "scoped_env.hpp"
 
 namespace zero::core {
 namespace {
@@ -69,25 +71,37 @@ TEST(TrainerFaultTest, HangIsDetectedAndReported) {
 }
 
 TEST(TrainerFaultTest, EnvSpecDrivesInjection) {
-  ASSERT_EQ(setenv("ZERO_FAULT", "crash@0:step#1", 1), 0);
+  test::ScopedEnv fault("ZERO_FAULT", "crash@0:step#1");
   TrainOptions opts = SmallOptions();
   opts.engine.comm_deadline_ms = 100;
+  ApplyEnv(opts.engine);
   const TrainResult result = TrainGpt(opts);
-  unsetenv("ZERO_FAULT");
   EXPECT_TRUE(result.failed);
   EXPECT_NE(result.failure_message.find("injected crash"), std::string::npos);
 }
 
-TEST(TrainerFaultTest, ExplicitSpecWinsOverEnvironment) {
-  // Env says crash; the explicit spec schedules only a benign straggler.
-  ASSERT_EQ(setenv("ZERO_FAULT", "crash@0:step#1", 1), 0);
-  TrainOptions opts = SmallOptions();
-  opts.engine.fault_spec = "slow@0:step=1ms";
-  opts.engine.comm_deadline_ms = 100;
-  const TrainResult result = TrainGpt(opts);
-  unsetenv("ZERO_FAULT");
-  EXPECT_FALSE(result.failed) << result.failure_message;
-  EXPECT_EQ(result.losses.size(), 4u);
+TEST(TrainerFaultTest, TrainGptIgnoresEnvironment) {
+  const TrainResult clean = [] {
+    test::ScopedEnv fault("ZERO_FAULT", nullptr);
+    test::ScopedEnv prefetch("ZERO_PREFETCH", nullptr);
+    test::ScopedEnv qwz("ZERO_QWZ", nullptr);
+    return TrainGpt(SmallOptions());
+  }();
+  ASSERT_FALSE(clean.failed) << clean.failure_message;
+
+  // A crash, a malformed knob and a compression switch: read by nobody
+  // unless a binary calls ApplyEnv.
+  test::ScopedEnv fault("ZERO_FAULT", "crash@0:step#1");
+  test::ScopedEnv prefetch("ZERO_PREFETCH", "abc");
+  test::ScopedEnv qwz("ZERO_QWZ", "1");
+  const TrainResult dirty = TrainGpt(SmallOptions());
+  ASSERT_FALSE(dirty.failed) << dirty.failure_message;
+  ASSERT_EQ(dirty.losses.size(), clean.losses.size());
+  for (std::size_t i = 0; i < clean.losses.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(dirty.losses[i]),
+              std::bit_cast<std::uint32_t>(clean.losses[i]))
+        << "step " << i;
+  }
 }
 
 TEST(TrainerFaultTest, RunWithoutFaultConfigIsUnchanged) {

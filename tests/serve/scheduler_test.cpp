@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "common/env.hpp"
 #include "serve/traffic_gen.hpp"
 
 namespace zero::serve {
@@ -188,7 +190,9 @@ TEST(Scheduler, SeededSoakNoRequestStarves) {
   tc.out_min = 1;
   tc.out_max = 6;
   tc.vocab = kVocab;
-  tc.seed = ServeSeedFromEnv(99);
+  tc.seed = EnvUint("ZERO_SERVE_SEED",
+                    std::numeric_limits<std::uint64_t>::max())
+                .value_or(99);
   const auto traffic = GenerateOpenLoopTraffic(tc);
   ASSERT_GT(traffic.size(), 100u);
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace zero::serve {
 namespace {
 
@@ -125,16 +123,6 @@ TEST(TrafficGen, PrefixIsSharedPerTenantAndDiffersAcrossTenants) {
       EXPECT_NE(seen[0], seen[static_cast<std::size_t>(t)]);
     }
   }
-}
-
-TEST(TrafficGen, ServeSeedEnvKnobWins) {
-  unsetenv("ZERO_SERVE_SEED");
-  EXPECT_EQ(ServeSeedFromEnv(5), 5u);
-  setenv("ZERO_SERVE_SEED", "1234", 1);
-  EXPECT_EQ(ServeSeedFromEnv(5), 1234u);
-  setenv("ZERO_SERVE_SEED", "not-a-number", 1);
-  EXPECT_EQ(ServeSeedFromEnv(5), 5u);
-  unsetenv("ZERO_SERVE_SEED");
 }
 
 }  // namespace
