@@ -1,9 +1,10 @@
 // Shared ZERO_BENCH_RELAX handling for the bench gate binaries.
 //
 // Every gate honors the same contract: a failed check prints FAIL and
-// the binary exits 1, unless ZERO_BENCH_RELAX is set, in which case the
+// the binary exits 1, unless ZERO_BENCH_RELAX=1, in which case the
 // failure is downgraded to a warning and the exit code stays 0 (for
-// noisy or throttled machines). Two shapes cover all the benches:
+// noisy or throttled machines). The variable is exactly 0 or 1; any
+// other value exits 2 naming it. Two shapes cover all the benches:
 //
 //   * GateSet — accumulate named checks (`Require`/`Fail`), then
 //     `return gates.ExitCode();`
@@ -14,15 +15,23 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/env.hpp"
+#include "common/error.hpp"
+
 namespace zero::bench {
 
-// True when ZERO_BENCH_RELAX is set: gate failures warn instead of fail.
+// True when ZERO_BENCH_RELAX=1: gate failures warn instead of fail.
 [[nodiscard]] inline bool Relaxed() {
-  return std::getenv("ZERO_BENCH_RELAX") != nullptr;
+  try {
+    return EnvFlag("ZERO_BENCH_RELAX").value_or(false);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
 }
 
 // Accumulates gate outcomes. Failures print immediately (FAIL, or
-// "WARN (relaxed)" under ZERO_BENCH_RELAX); ExitCode() folds them into
+// "WARN (relaxed)" under ZERO_BENCH_RELAX=1); ExitCode() folds them into
 // the process status with the standard relax downgrade.
 class GateSet {
  public:
@@ -43,7 +52,7 @@ class GateSet {
   [[nodiscard]] int failures() const { return failures_; }
   [[nodiscard]] bool relaxed() const { return relaxed_; }
 
-  // 0 when every check passed or ZERO_BENCH_RELAX is set, else 1.
+  // 0 when every check passed or ZERO_BENCH_RELAX=1, else 1.
   [[nodiscard]] int ExitCode() const {
     return (failures_ == 0 || relaxed_) ? 0 : 1;
   }
@@ -56,7 +65,7 @@ class GateSet {
 // Standard tail for benches that compute a single `ok` flag.
 [[nodiscard]] inline int GateExit(bool ok) {
   if (!ok && Relaxed()) {
-    std::printf("WARN: gate failed but ZERO_BENCH_RELAX is set\n");
+    std::printf("WARN: gate failed but ZERO_BENCH_RELAX=1\n");
     return 0;
   }
   return ok ? 0 : 1;

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, the common, comm, obs and optim
-# suites under AddressSanitizer + UBSan, then the whole suite again under
-# ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes, so
-# TSan is the check that actually matters for the comm layer — in
-# particular the nonblocking request path that overlaps stage-2 gradient
-# reduction with backward.
+# CI entry point: release build + tests, the common, comm, obs, optim,
+# tensor, model and serve suites under AddressSanitizer + UBSan, then the
+# whole suite again under ThreadSanitizer. The runtime is thread-per-rank
+# SPMD over mailboxes, so TSan is the check that actually matters for the
+# comm layer — in particular the nonblocking request path that overlaps
+# stage-2 gradient reduction with backward.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -19,7 +19,9 @@ echo "==> bench: kernel perf gate (release build)"
 # Writes BENCH_kernels.json and fails on >25% regression against the
 # checked-in baseline, or if the packed-GEMM (3x) / fp16-decode (5x)
 # speedup floors over the seed kernels are missed. ZERO_BENCH_RELAX=1
-# downgrades failures to warnings on throttled machines.
+# downgrades failures to warnings on throttled machines; the variable is
+# exactly 0 or 1 (bench/gate.hpp reads it through common/env.hpp), and
+# any other value makes every gate binary exit 2 naming it.
 ./build/bench/kernel_perf BENCH_kernels.json bench/kernels_baseline.json
 
 echo "==> bench: telemetry overhead gate (release build)"
@@ -168,21 +170,22 @@ for knob in ZERO_PREFETCH=abc ZERO_COMM_DEADLINE_MS=-1 ZERO_QWZ=no; do
   grep -q "${knob%%=*}" build/smoke_env.err
 done
 
-echo "==> asan: common + comm + obs + optim suites under AddressSanitizer + UBSan"
+echo "==> asan: common, comm, obs, optim, tensor, model, serve suites"
 # The environment parser (it reads outside input), the ring machines,
 # the p2p request layer and the qwZ wire format, the telemetry layer
 # (trace rings, metrics registries, the Chrome serializer and the flight
-# recorder), then the fused Adam kernel (stack block buffers, __restrict
-# pointers) under the asan preset, with LeakSanitizer on. halt_on_error
-# makes the first UBSan report fail the run (ASan already aborts on its
-# first report).
+# recorder), the fused Adam kernel (stack block buffers, __restrict
+# pointers), then the packed GEMM loop nest and its B-tile fillers, the
+# serving-weight backends and the decode path under the asan preset,
+# with LeakSanitizer on. halt_on_error makes the first UBSan report fail
+# the run (ASan already aborts on its first report).
 cmake --preset asan >/dev/null
 cmake --build --preset asan --target test_common test_comm test_obs \
-  test_optim -j "${JOBS}"
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_common
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_comm
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_obs
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 ./build-asan/tests/test_optim
+  test_optim test_tensor test_model test_serve -j "${JOBS}"
+for suite in test_common test_comm test_obs test_optim test_tensor \
+  test_model test_serve; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "./build-asan/tests/${suite}"
+done
 
 echo "==> tsan: configure + build + ctest"
 cmake --preset tsan >/dev/null

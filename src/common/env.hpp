@@ -1,8 +1,8 @@
 // The process environment, read in one place. Every ZERO_* knob goes
-// through one of these typed readers; nothing else in the runtime calls
-// getenv. Binaries decide which knobs they honour (core::ApplyEnv for
-// the training overlay, the example and bench mains for their own); the
-// library itself reads no environment.
+// through one of these typed readers; nothing else in the runtime reads
+// the environment. Binaries decide which knobs they honour
+// (core::ApplyEnv for the training overlay, the example and bench mains
+// for their own); the library itself reads no environment.
 //
 // Each reader returns nullopt when the variable is unset or empty. A set
 // value that does not parse completely and in range throws

@@ -78,10 +78,15 @@ TrainingState TrainingState::Deserialize(std::span<const std::byte> bytes) {
     std::memcpy(&header, bytes.data(), sizeof(Header));
   }
 
-  const std::size_t array_bytes =
-      static_cast<std::size_t>(header.total_numel) * sizeof(float);
-  ZERO_CHECK(bytes.size() == header_bytes + 3 * array_bytes,
+  // Compare in the payload's terms: a total_numel whose three arrays
+  // would overflow size_t can then never wrap into a false match.
+  const std::size_t payload = bytes.size() - header_bytes;
+  constexpr std::size_t kElemBytes = 3 * sizeof(float);
+  ZERO_CHECK(payload % kElemBytes == 0 &&
+                 payload / kElemBytes ==
+                     static_cast<std::uint64_t>(header.total_numel),
              "checkpoint size does not match its header");
+  const std::size_t array_bytes = payload / 3;
 
   TrainingState state;
   state.total_numel = header.total_numel;

@@ -1,7 +1,8 @@
 #include "fault/fault_plan.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -30,6 +31,23 @@ std::string Trim(const std::string& s) {
   std::size_t e = s.find_last_not_of(" \t\r\n");
   return s.substr(b, e - b + 1);
 }
+
+// A whole-string decimal count in [0, max]: digits only (no sign, no
+// trailing text), no overflow. `what` names the field, `rule` the rule
+// (or seed clause) it came from.
+std::uint64_t ParseCount(const std::string& field, const char* what,
+                         const std::string& rule, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc() || ptr != end || value > max) {
+    throw ConfigError("ZERO_FAULT: bad " + std::string(what) + " '" + field +
+                      "' in '" + rule + "'");
+  }
+  return value;
+}
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 
 FaultKind ParseKind(const std::string& name, const std::string& spec) {
   if (name == "crash") return FaultKind::kCrash;
@@ -82,13 +100,13 @@ FaultRule ParseRule(const std::string& text, const std::string& spec) {
   // Everything after '@' is rank then optional :site #occ %prob =dur in
   // any order (each introduced by its own marker character).
   std::string rest = text.substr(at + 1);
-  // Rank: digits up to the first marker.
-  std::size_t pos = 0;
-  while (pos < rest.size() && (std::isdigit(rest[pos]) != 0)) ++pos;
+  std::size_t pos = std::min(rest.find_first_of(":#%="), rest.size());
   if (pos == 0) {
     throw ConfigError("ZERO_FAULT: rule '" + text + "' has no rank after '@'");
   }
-  rule.rank = std::stoi(rest.substr(0, pos));
+  rule.rank = static_cast<int>(
+      ParseCount(rest.substr(0, pos), "rank", text,
+                 static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
 
   while (pos < rest.size()) {
     const char marker = rest[pos];
@@ -104,12 +122,7 @@ FaultRule ParseRule(const std::string& text, const std::string& spec) {
         rule.site = field;
         break;
       case '#':
-        try {
-          rule.occurrence = std::stoull(field);
-        } catch (const std::exception&) {
-          throw ConfigError("ZERO_FAULT: bad occurrence '" + field +
-                            "' in '" + text + "'");
-        }
+        rule.occurrence = ParseCount(field, "occurrence", text, kU64Max);
         break;
       case '%':
         try {
@@ -175,11 +188,7 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
     const std::string part = Trim(raw);
     if (part.empty()) continue;
     if (part.rfind("seed=", 0) == 0) {
-      try {
-        plan.seed = std::stoull(part.substr(5));
-      } catch (const std::exception&) {
-        throw ConfigError("ZERO_FAULT: bad seed in '" + spec + "'");
-      }
+      plan.seed = ParseCount(part.substr(5), "seed", part, kU64Max);
       continue;
     }
     plan.rules.push_back(ParseRule(part, spec));

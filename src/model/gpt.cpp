@@ -13,29 +13,6 @@ namespace zero::model {
 
 using tensor::Tensor;
 
-// Parameter-access seam the two DecodeForward overloads share (declared
-// in gpt.hpp, implemented below for the provider and the packed store).
-// Offsets are unit-relative — the same coordinates LayerOffsets holds.
-class DecodeParamAccess {
- public:
-  virtual ~DecodeParamAccess() = default;
-  // Bracket every parameter touch of `unit`; Vec pointers stay valid
-  // until the matching EndUnit.
-  virtual void BeginUnit(int unit) = 0;
-  virtual void EndUnit(int unit) = 0;
-  // fp32 pointer to the start of a vector-class entry (bias, LN, wpe).
-  virtual const float* Vec(int unit, std::int64_t off) = 0;
-  // C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C for the weight matrix
-  // entry at (unit, off).
-  virtual void WeightGemm(int unit, std::int64_t off, std::int64_t m,
-                          std::int64_t n, std::int64_t k, float alpha,
-                          const float* a, float beta, float* c) = 0;
-  // dst[0..cols) = fp32 row `row` of the [rows, cols] matrix at
-  // (unit, off) — embedding gathers.
-  virtual void WeightRow(int unit, std::int64_t off, std::int64_t row,
-                         std::int64_t cols, float* dst) = 0;
-};
-
 namespace {
 
 // Parameter codes for deterministic per-row init streams.
@@ -605,84 +582,9 @@ float GptModel::EvalForwardLogits(const Batch& batch, ParamProvider& params,
   return loss;
 }
 
-namespace {
-
-// Provider-backed access: identical pointers through the identical
-// tensor::Gemm calls the pre-seam DecodeForward made, so this path is
-// bitwise what it always was.
-class ProviderDecodeAccess final : public DecodeParamAccess {
- public:
-  explicit ProviderDecodeAccess(ParamProvider& params) : params_(params) {}
-  void BeginUnit(int unit) override {
-    cur_ = params_.AcquireUnit(unit, Phase::kForward);
-  }
-  void EndUnit(int unit) override {
-    params_.ReleaseUnit(unit, Phase::kForward);
-    cur_ = {};
-  }
-  const float* Vec(int, std::int64_t off) override {
-    return cur_.data() + off;
-  }
-  void WeightGemm(int, std::int64_t off, std::int64_t m, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a, float beta,
-                  float* c) override {
-    tensor::Gemm(false, true, m, n, k, alpha, a, cur_.data() + off, beta, c);
-  }
-  void WeightRow(int, std::int64_t off, std::int64_t row, std::int64_t cols,
-                 float* dst) override {
-    std::memcpy(dst, cur_.data() + off + row * cols,
-                static_cast<std::size_t>(cols) * sizeof(float));
-  }
-
- private:
-  ParamProvider& params_;
-  std::span<const float> cur_;
-};
-
-// Packed-store access: weights live engine-side in a GEMM backend's
-// native precision; units are always resident, so Begin/End are no-ops.
-class PackedDecodeAccess final : public DecodeParamAccess {
- public:
-  explicit PackedDecodeAccess(const ServingWeights& weights)
-      : weights_(weights) {}
-  void BeginUnit(int) override {}
-  void EndUnit(int) override {}
-  const float* Vec(int unit, std::int64_t off) override {
-    return weights_.Vec(unit, off);
-  }
-  void WeightGemm(int unit, std::int64_t off, std::int64_t m, std::int64_t n,
-                  std::int64_t k, float alpha, const float* a, float beta,
-                  float* c) override {
-    weights_.GemmWeightT(unit, off, m, n, k, alpha, a, beta, c);
-  }
-  void WeightRow(int unit, std::int64_t off, std::int64_t row,
-                 std::int64_t cols, float* dst) override {
-    weights_.DecodeRow(unit, off, row, cols, dst);
-  }
-
- private:
-  const ServingWeights& weights_;
-};
-
-}  // namespace
-
-int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
-                            ParamProvider& params, KvCache& kv,
-                            std::span<float> logits_out) {
-  ProviderDecodeAccess access(params);
-  return DecodeForwardImpl(tokens, access, kv, logits_out);
-}
-
 int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
                             const ServingWeights& weights, KvCache& kv,
                             std::span<float> logits_out) {
-  PackedDecodeAccess access(weights);
-  return DecodeForwardImpl(tokens, access, kv, logits_out);
-}
-
-int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
-                                DecodeParamAccess& access, KvCache& kv,
-                                std::span<float> logits_out) {
   namespace K = tensor;
   const std::int64_t n = static_cast<std::int64_t>(tokens.size());
   ZERO_CHECK(n > 0, "empty decode step");
@@ -721,19 +623,17 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
   // ---- embedding ----
   Tensor x = NewAct({n, h});
   {
-    access.BeginUnit(0);
-    const float* wpe = access.Vec(0, off_wpe_);
+    const float* wpe = weights.Vec(0, off_wpe_);
     std::vector<float> te(static_cast<std::size_t>(h));
     float* xp = x.f32().data();
     for (std::int64_t i = 0; i < n; ++i) {
       const DecodeToken& t = tokens[static_cast<std::size_t>(i)];
       ZERO_CHECK(t.token >= 0 && t.token < v, "token id out of range");
-      access.WeightRow(0, off_wte_, t.token, h, te.data());
+      weights.DecodeRow(0, off_wte_, t.token, h, te.data());
       const float* pe = wpe + t.pos * h;
       float* row = xp + i * h;
       for (std::int64_t c = 0; c < h; ++c) row[c] = te[c] + pe[c];
     }
-    access.EndUnit(0);
   }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
@@ -744,20 +644,19 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
 
   for (int l = 0; l < layers; ++l) {
     const int unit = l + 1;
-    access.BeginUnit(unit);
 
     Tensor ln1_mean = NewAct({n});
     Tensor ln1_rstd = NewAct({n});
     Tensor a = NewAct({n, h});
-    K::LayerNormForward(x.f32().data(), access.Vec(unit, lo_.ln1_g),
-                        access.Vec(unit, lo_.ln1_b), a.f32().data(),
+    K::LayerNormForward(x.f32().data(), weights.Vec(unit, lo_.ln1_g),
+                        weights.Vec(unit, lo_.ln1_b), a.f32().data(),
                         ln1_mean.f32().data(), ln1_rstd.f32().data(), n, h,
                         config_.ln_eps);
 
     Tensor qkv = NewAct({n, 3 * hm});
-    access.WeightGemm(unit, lo_.w_qkv, n, 3 * hm, h, 1.0f, a.f32().data(),
-                      0.0f, qkv.f32().data());
-    K::AddBiasRows(qkv.f32().data(), access.Vec(unit, lo_.b_qkv), n, 3 * hm);
+    weights.GemmWeightT(unit, lo_.w_qkv, n, 3 * hm, h, 1.0f, a.f32().data(),
+                        0.0f, qkv.f32().data());
+    K::AddBiasRows(qkv.f32().data(), weights.Vec(unit, lo_.b_qkv), n, 3 * hm);
 
     // Append this step's K/V rows to the cache before attending, so
     // tokens later in a prefill chunk see earlier ones.
@@ -832,10 +731,10 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
     Tensor x_mid = NewAct({n, h});
     {
       Tensor o = NewAct({n, h});
-      access.WeightGemm(unit, lo_.w_o, n, h, hm, 1.0f, ctxp, 0.0f,
-                        o.f32().data());
+      weights.GemmWeightT(unit, lo_.w_o, n, h, hm, 1.0f, ctxp, 0.0f,
+                          o.f32().data());
       MpAllReduce(o.f32().data(), n * h);
-      K::AddBiasRows(o.f32().data(), access.Vec(unit, lo_.b_o), n, h);
+      K::AddBiasRows(o.f32().data(), weights.Vec(unit, lo_.b_o), n, h);
       const float* ov = o.f32().data();
       const float* xp = x.f32().data();
       float* xm = x_mid.f32().data();
@@ -845,32 +744,31 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
     Tensor ln2_mean = NewAct({n});
     Tensor ln2_rstd = NewAct({n});
     Tensor b2 = NewAct({n, h});
-    K::LayerNormForward(x_mid.f32().data(), access.Vec(unit, lo_.ln2_g),
-                        access.Vec(unit, lo_.ln2_b), b2.f32().data(),
+    K::LayerNormForward(x_mid.f32().data(), weights.Vec(unit, lo_.ln2_g),
+                        weights.Vec(unit, lo_.ln2_b), b2.f32().data(),
                         ln2_mean.f32().data(), ln2_rstd.f32().data(), n, h,
                         config_.ln_eps);
 
     Tensor h1 = NewAct({n, im});
-    access.WeightGemm(unit, lo_.w_fc, n, im, h, 1.0f, b2.f32().data(), 0.0f,
-                      h1.f32().data());
+    weights.GemmWeightT(unit, lo_.w_fc, n, im, h, 1.0f, b2.f32().data(), 0.0f,
+                        h1.f32().data());
     Tensor f = NewAct({n, im});
-    K::BiasGeluForward(h1.f32().data(), access.Vec(unit, lo_.b_fc),
+    K::BiasGeluForward(h1.f32().data(), weights.Vec(unit, lo_.b_fc),
                        h1.f32().data(), f.f32().data(), n, im);
 
     // MLP output projection (row-parallel) + MP all-reduce #2.
     Tensor x_next = NewAct({n, h});
     {
       Tensor p = NewAct({n, h});
-      access.WeightGemm(unit, lo_.w_pr, n, h, im, 1.0f, f.f32().data(), 0.0f,
-                        p.f32().data());
+      weights.GemmWeightT(unit, lo_.w_pr, n, h, im, 1.0f, f.f32().data(), 0.0f,
+                          p.f32().data());
       MpAllReduce(p.f32().data(), n * h);
-      K::AddBiasRows(p.f32().data(), access.Vec(unit, lo_.b_pr), n, h);
+      K::AddBiasRows(p.f32().data(), weights.Vec(unit, lo_.b_pr), n, h);
       const float* pv = p.f32().data();
       const float* xm = x_mid.f32().data();
       float* xo = x_next.f32().data();
       for (std::int64_t i = 0; i < n * h; ++i) xo[i] = xm[i] + pv[i];
     }
-    access.EndUnit(unit);
     x = std::move(x_next);
   }
 
@@ -891,19 +789,13 @@ int GptModel::DecodeForwardImpl(std::span<const DecodeToken> tokens,
   Tensor lnf_rstd = NewAct({n_groups});
   Tensor y = NewAct({n_groups, h});
   {
-    access.BeginUnit(unit_f);
-    K::LayerNormForward(last.f32().data(), access.Vec(unit_f, off_lnf_g_),
-                        access.Vec(unit_f, off_lnf_b_), y.f32().data(),
+    K::LayerNormForward(last.f32().data(), weights.Vec(unit_f, off_lnf_g_),
+                        weights.Vec(unit_f, off_lnf_b_), y.f32().data(),
                         lnf_mean.f32().data(), lnf_rstd.f32().data(),
                         n_groups, h, config_.ln_eps);
-    access.EndUnit(unit_f);
   }
-  {
-    access.BeginUnit(0);
-    access.WeightGemm(0, off_wte_, n_groups, v, h, 1.0f, y.f32().data(),
-                      0.0f, logits_out.data());
-    access.EndUnit(0);
-  }
+  weights.GemmWeightT(0, off_wte_, n_groups, v, h, 1.0f, y.f32().data(), 0.0f,
+                      logits_out.data());
   return static_cast<int>(n_groups);
 }
 

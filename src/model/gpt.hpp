@@ -30,8 +30,7 @@
 
 namespace zero::model {
 
-class ServingWeights;   // model/serving_weights.hpp
-class DecodeParamAccess;  // internal decode parameter seam (gpt.cpp)
+class ServingWeights;  // model/serving_weights.hpp
 
 struct GptConfig {
   std::int64_t vocab = 64;
@@ -104,23 +103,17 @@ class GptModel final : public FlatParamModel {
   float EvalForwardLogits(const Batch& batch, ParamProvider& params,
                           std::span<float> logits_out);
 
-  // Packed incremental decode: one batched block forward over all tokens
-  // of a serving step. Appends every token's K/V rows to `kv`, attends
-  // against the cached prefix, and writes logits for the *last* token of
-  // each sequence group into consecutive rows of `logits_out` (group
-  // order). Returns the number of groups. Attention uses serial
-  // accumulation in cached-key order, which keeps greedy-decode logits
-  // bit-exact vs EvalForwardLogits whenever the projection GEMMs take
-  // per-element-identical paths (see DESIGN.md §16).
-  int DecodeForward(std::span<const DecodeToken> tokens,
-                    ParamProvider& params, KvCache& kv,
-                    std::span<float> logits_out);
-
-  // Same forward over engine-resident packed weights (a GEMM-backend
-  // encoding of the local shard). The "fp32" backend runs the identical
-  // kernels on identical floats, so this overload is memcmp-bit-exact
-  // with the provider one; reduced-precision backends keep greedy decode
-  // equivalent within the bounded logit error DESIGN.md §16 documents.
+  // Packed incremental decode over engine-resident serving weights (a
+  // GEMM-backend encoding of the local shard): one batched block forward
+  // over all tokens of a serving step. Appends every token's K/V rows to
+  // `kv`, attends against the cached prefix, and writes logits for the
+  // *last* token of each sequence group into consecutive rows of
+  // `logits_out` (group order). Returns the number of groups. Attention
+  // uses serial accumulation in cached-key order. With the "fp32"
+  // backend this keeps greedy-decode logits bit-exact vs
+  // EvalForwardLogits whenever the projection GEMMs take
+  // per-element-identical paths; reduced-precision backends stay within
+  // the bounded logit error DESIGN.md §16 documents.
   int DecodeForward(std::span<const DecodeToken> tokens,
                     const ServingWeights& weights, KvCache& kv,
                     std::span<float> logits_out);
@@ -144,14 +137,6 @@ class GptModel final : public FlatParamModel {
   [[nodiscard]] int mp_rank() const;
 
  private:
-  // Internal seam the two DecodeForward overloads share: parameter
-  // access abstracted to vector pointers, weight GEMMs and embedding-row
-  // decodes, so the forward body is written once and the provider path
-  // stays bitwise what it was before packed weights existed.
-  int DecodeForwardImpl(std::span<const DecodeToken> tokens,
-                        DecodeParamAccess& access, KvCache& kv,
-                        std::span<float> logits_out);
-
   struct LayerOffsets {
     std::int64_t ln1_g, ln1_b;
     std::int64_t w_qkv, b_qkv;  // column-parallel: [3*H/m, H], [3*H/m]

@@ -2,27 +2,23 @@
 // backend's native precision (tensor/gemm_backend.hpp).
 //
 // The trainer keeps everything fp32; the serving path re-encodes the
-// local shard once at engine-load time. Matrix entries (the token
-// embedding and every projection weight) are stored backend-native and
-// consumed through the backend's fused GemmWeightT — no fp32 copy of a
-// weight matrix is ever materialized after packing. Entries whose
-// layout registered a [rows, cols] shape use the backend's shape-aware
-// Matrix* encoding, which lets fp16 pre-pack weights into the GEMM's
-// micro-panel layout once at load (bitwise-equal results, the strided
-// per-call pack replaced by one contiguous bulk decode). Vector-class
-// entries (biases, layer-norm gains, the positional table) stay fp32 in
-// a sidecar: they are O(hidden) each, consumed by elementwise kernels,
-// and keeping them exact means the "fp32" backend makes the whole
-// serving forward memcmp-bit-exact with the provider-backed one.
+// local shard once at engine-load time. The layout decides storage: an
+// entry the layout gave a [rows, cols] shape (the token embedding and
+// every projection weight) is a matrix, stored in the backend's one
+// encoding and consumed through its GemmWeightT — no fp32 copy of a
+// weight matrix is ever materialized after packing. Every other entry
+// (biases, layer-norm gains, the positional table) stays fp32 in a
+// sidecar: they are O(hidden) each, consumed by elementwise kernels, and
+// keeping them exact means the "fp32" backend makes the whole serving
+// forward memcmp-bit-exact with the trainer's eval forward.
 //
 // Lookups are keyed by (unit, unit-relative offset) — the coordinates
-// GptModel::DecodeForward already uses for every parameter access.
+// GptModel::DecodeForward uses for every parameter access.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,12 +33,9 @@ class ServingWeights {
 
   // Packs this rank's local flat shard (`local.size() ==
   // layout.total_numel()`). The backend reference must outlive this
-  // object (registry-owned backends always do).
+  // object (the GemmBackendByName backends always do).
   ServingWeights(const ParamLayout& layout, std::span<const float> local,
                  const tensor::GemmBackend& backend);
-
-  [[nodiscard]] bool loaded() const { return backend_ != nullptr; }
-  [[nodiscard]] const tensor::GemmBackend& backend() const;
 
   // Bytes held: packed matrices + fp32 sidecar.
   [[nodiscard]] std::size_t weight_bytes() const {
@@ -53,32 +46,24 @@ class ServingWeights {
   // the whole entry (the positional table is gathered by row offset).
   [[nodiscard]] const float* Vec(int unit, std::int64_t off) const;
 
-  // C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C for the matrix entry
-  // at (unit, off).
+  // C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C for the [n, k] matrix
+  // entry at (unit, off).
   void GemmWeightT(int unit, std::int64_t off, std::int64_t m,
                    std::int64_t n, std::int64_t k, float alpha,
                    const float* a, float beta, float* c) const;
 
   // Decodes row `row` of the [rows, cols] matrix entry at (unit, off)
-  // to fp32 (embedding gathers, equivalence tests).
+  // to fp32 (embedding gathers).
   void DecodeRow(int unit, std::int64_t off, std::int64_t row,
                  std::int64_t cols, float* dst) const;
 
-  // Storage class of a layout entry: matrices go backend-native,
-  // everything else stays fp32.
-  [[nodiscard]] static bool IsMatrixEntry(std::string_view name);
-
  private:
   struct Entry {
-    std::int64_t numel = 0;
-    bool matrix = false;
-    // Matrix shape from the layout ([rows, cols], rows * cols == numel);
-    // 0/0 when the layout registered no shape. Shaped entries go through
-    // the backend's shape-aware Matrix* encoding (fp16 pre-packs GEMM
-    // micro-panels at load), unshaped ones through the flat encoding.
+    // Matrix shape from the layout; rows == 0 marks a vector entry.
     std::int64_t rows = 0;
     std::int64_t cols = 0;
     std::size_t pos = 0;  // byte offset in packed_ / float offset in f32_
+    [[nodiscard]] bool matrix() const { return rows > 0; }
   };
 
   [[nodiscard]] const Entry& Lookup(int unit, std::int64_t off,

@@ -1,7 +1,8 @@
 #include "tensor/gemm_backend.hpp"
 
 #include <cstring>
-#include <mutex>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/half.hpp"
@@ -10,248 +11,131 @@
 
 namespace zero::tensor {
 
-std::size_t GemmBackend::PackedMatrixBytes(std::int64_t n,
-                                           std::int64_t k) const {
-  return PackedBytes(n * k);
-}
-
-void GemmBackend::PackMatrix(const float* src, std::int64_t n, std::int64_t k,
-                             std::byte* dst) const {
-  Pack(src, n * k, dst);
-}
-
-void GemmBackend::DecodeMatrixRow(const std::byte* packed, std::int64_t n,
-                                  std::int64_t k, std::int64_t row,
-                                  float* dst) const {
-  ZERO_CHECK(row >= 0 && row < n, "matrix row decode out of range");
-  Decode(packed, row * k, k, dst);
-}
-
-void GemmBackend::MatrixGemmWeightT(std::int64_t m, std::int64_t n,
-                                    std::int64_t k, float alpha,
-                                    const float* a, const std::byte* packed,
-                                    float beta, float* c) const {
-  GemmWeightT(m, n, k, alpha, a, packed, /*off=*/0, beta, c);
-}
-
-const char* WeightPrecisionName(WeightPrecision p) {
-  switch (p) {
-    case WeightPrecision::kF32: return "fp32";
-    case WeightPrecision::kF16: return "fp16";
-    case WeightPrecision::kInt8: return "int8";
-  }
-  return "?";
-}
-
 namespace {
 
 class F32Backend final : public GemmBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "fp32"; }
-  [[nodiscard]] WeightPrecision precision() const override {
-    return WeightPrecision::kF32;
+  [[nodiscard]] std::size_t PackedBytes(std::int64_t n,
+                                        std::int64_t k) const override {
+    return static_cast<std::size_t>(n * k) * sizeof(float);
   }
-  [[nodiscard]] std::size_t PackedBytes(std::int64_t n) const override {
-    return static_cast<std::size_t>(n) * sizeof(float);
+  void Pack(const float* src, std::int64_t n, std::int64_t k,
+            std::byte* dst) const override {
+    std::memcpy(dst, src, PackedBytes(n, k));
   }
-  void Pack(const float* src, std::int64_t n, std::byte* dst) const override {
-    std::memcpy(dst, src, PackedBytes(n));
-  }
-  void Decode(const std::byte* packed, std::int64_t off, std::int64_t count,
-              float* dst) const override {
-    std::memcpy(dst, reinterpret_cast<const float*>(packed) + off,
-                static_cast<std::size_t>(count) * sizeof(float));
+  void DecodeRow(const std::byte* packed, std::int64_t n, std::int64_t k,
+                 std::int64_t row, float* dst) const override {
+    ZERO_CHECK(row >= 0 && row < n, "matrix row decode out of range");
+    std::memcpy(dst, reinterpret_cast<const float*>(packed) + row * k,
+                static_cast<std::size_t>(k) * sizeof(float));
   }
   void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const std::byte* packed,
-                   std::int64_t off, float beta, float* c) const override {
+                   float beta, float* c) const override {
     // Exact passthrough: identical floats through the identical kernel
     // and dispatch, so the fp32 serving path stays memcmp-bit-exact
-    // with the provider-backed forward.
+    // with the trainer's eval forward.
     Gemm(false, true, m, n, k, alpha, a,
-         reinterpret_cast<const float*>(packed) + off, beta, c);
+         reinterpret_cast<const float*>(packed), beta, c);
   }
 };
 
 class F16Backend final : public GemmBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "fp16"; }
-  [[nodiscard]] WeightPrecision precision() const override {
-    return WeightPrecision::kF16;
-  }
-  [[nodiscard]] std::size_t PackedBytes(std::int64_t n) const override {
-    return static_cast<std::size_t>(n) * sizeof(Half);
-  }
-  void Pack(const float* src, std::int64_t n, std::byte* dst) const override {
-    FloatToHalf(src, reinterpret_cast<Half*>(dst),
-                static_cast<std::size_t>(n));
-  }
-  void Decode(const std::byte* packed, std::int64_t off, std::int64_t count,
-              float* dst) const override {
-    HalfToFloat(reinterpret_cast<const Half*>(packed) + off, dst,
-                static_cast<std::size_t>(count));
-  }
-  void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                   float alpha, const float* a, const std::byte* packed,
-                   std::int64_t off, float beta, float* c) const override {
-    GemmHalfWeightT(m, n, k, alpha, a,
-                    reinterpret_cast<const Half*>(packed) + off, beta, c);
-  }
-
-  // Matrix entries pre-pack into the GEMM's micro-panel layout at load
-  // time (kernels.hpp panel entry points): per call the B pack becomes
-  // one contiguous bulk fp16 decode instead of a strided walk, which is
-  // where the fp16 serving throughput win comes from. Bitwise equal to
-  // the flat encoding through the shared kernels.
-  [[nodiscard]] std::size_t PackedMatrixBytes(
-      std::int64_t n, std::int64_t k) const override {
+  [[nodiscard]] std::size_t PackedBytes(std::int64_t n,
+                                        std::int64_t k) const override {
     return static_cast<std::size_t>(HalfPanelElems(n, k)) * sizeof(Half);
   }
-  void PackMatrix(const float* src, std::int64_t n, std::int64_t k,
-                  std::byte* dst) const override {
+  void Pack(const float* src, std::int64_t n, std::int64_t k,
+            std::byte* dst) const override {
     PackHalfPanelsT(src, n, k, reinterpret_cast<Half*>(dst));
   }
-  void DecodeMatrixRow(const std::byte* packed, std::int64_t n,
-                       std::int64_t k, std::int64_t row,
-                       float* dst) const override {
+  void DecodeRow(const std::byte* packed, std::int64_t n, std::int64_t k,
+                 std::int64_t row, float* dst) const override {
     ZERO_CHECK(row >= 0 && row < n, "matrix row decode out of range");
     DecodeHalfPanelRow(reinterpret_cast<const Half*>(packed), n, k, row, dst);
   }
-  void MatrixGemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                         float alpha, const float* a, const std::byte* packed,
-                         float beta, float* c) const override {
-    GemmHalfPanelsT(m, n, k, alpha, a,
-                    reinterpret_cast<const Half*>(packed), beta, c);
+  void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
+                   float alpha, const float* a, const std::byte* packed,
+                   float beta, float* c) const override {
+    GemmHalfPanelsT(m, n, k, alpha, a, reinterpret_cast<const Half*>(packed),
+                    beta, c);
   }
 };
 
-// Packed layout (self-describing, 8-byte aligned):
-//   [ int64 n ][ float scale[ceil(n/block)] ][ int8 code[n] ]
-// Codes and scales come from tensor/quantize's fp32 quantizer (same
-// rounding, same poison-block policy); the fp16 wire scales are
-// pre-decoded to fp32 once at pack time so the GEMM reader is one
-// multiply per element.
+// Packed layout: [ float scale[ceil(n*k/block)] ][ int8 code[n*k] ], the
+// matrix quantized as one row-major run. Codes and scales come from
+// tensor/quantize's fp32 quantizer (same rounding, same poison-block
+// policy); the fp16 wire scales are pre-decoded to fp32 once at pack
+// time so the GEMM's decode is one multiply per element.
 class Int8Backend final : public GemmBackend {
  public:
-  explicit Int8Backend(std::int64_t block) : block_(block) {}
-
   [[nodiscard]] std::string_view name() const override { return "int8"; }
-  [[nodiscard]] WeightPrecision precision() const override {
-    return WeightPrecision::kInt8;
+  [[nodiscard]] std::size_t PackedBytes(std::int64_t n,
+                                        std::int64_t k) const override {
+    return ScaleBytes(n * k) + static_cast<std::size_t>(n * k);
   }
-  [[nodiscard]] std::size_t PackedBytes(std::int64_t n) const override {
-    return sizeof(std::int64_t) +
-           static_cast<std::size_t>(QuantBlocks(n, block_)) * sizeof(float) +
-           static_cast<std::size_t>(n);
-  }
-  void Pack(const float* src, std::int64_t n, std::byte* dst) const override {
-    std::vector<std::byte> wire(QuantWireBytes(n, block_));
-    QuantizeF32(src, n, block_, wire.data());
-    std::memcpy(dst, &n, sizeof(n));
-    const std::int64_t blocks = QuantBlocks(n, block_);
-    const Half* wire_scales = reinterpret_cast<const Half*>(wire.data());
-    float* scales = reinterpret_cast<float*>(dst + sizeof(n));
-    for (std::int64_t b = 0; b < blocks; ++b) {
-      scales[b] = wire_scales[b].ToFloat();
-    }
-    std::memcpy(dst + sizeof(n) + static_cast<std::size_t>(blocks) *
-                                      sizeof(float),
+  void Pack(const float* src, std::int64_t n, std::int64_t k,
+            std::byte* dst) const override {
+    const std::int64_t numel = n * k;
+    std::vector<std::byte> wire(QuantWireBytes(numel, kBlock));
+    QuantizeF32(src, numel, kBlock, wire.data());
+    const std::int64_t blocks = QuantBlocks(numel, kBlock);
+    HalfToFloat(reinterpret_cast<const Half*>(wire.data()),
+                reinterpret_cast<float*>(dst),
+                static_cast<std::size_t>(blocks));
+    std::memcpy(dst + ScaleBytes(numel),
                 wire.data() + static_cast<std::size_t>(2 * blocks),
-                static_cast<std::size_t>(n));
+                static_cast<std::size_t>(numel));
   }
-  void Decode(const std::byte* packed, std::int64_t off, std::int64_t count,
-              float* dst) const override {
-    const View v = ViewOf(packed);
-    ZERO_CHECK(off >= 0 && off + count <= v.n,
-               "int8 weight decode outside the packed tensor");
-    for (std::int64_t i = 0; i < count; ++i) {
-      const std::int64_t e = off + i;
-      dst[i] = static_cast<float>(v.codes[e]) * v.scales[e / block_];
+  void DecodeRow(const std::byte* packed, std::int64_t n, std::int64_t k,
+                 std::int64_t row, float* dst) const override {
+    ZERO_CHECK(row >= 0 && row < n, "matrix row decode out of range");
+    const float* scales = reinterpret_cast<const float*>(packed);
+    const std::int8_t* codes = Codes(packed, n * k);
+    for (std::int64_t e = row * k; e < (row + 1) * k; ++e) {
+      dst[e - row * k] = static_cast<float>(codes[e]) * scales[e / kBlock];
     }
   }
   void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                    float alpha, const float* a, const std::byte* packed,
-                   std::int64_t off, float beta, float* c) const override {
-    const View v = ViewOf(packed);
-    ZERO_CHECK(off % block_ == 0,
-               "int8 weight GEMM needs a block-aligned matrix offset");
-    ZERO_CHECK(off >= 0 && off + n * k <= v.n,
-               "int8 weight GEMM outside the packed tensor");
-    GemmQuantWeightT(m, n, k, alpha, a, v.codes + off,
-                     v.scales + off / block_, block_, beta, c);
+                   float beta, float* c) const override {
+    GemmQuantWeightT(m, n, k, alpha, a, Codes(packed, n * k),
+                     reinterpret_cast<const float*>(packed), kBlock, beta, c);
   }
 
  private:
-  struct View {
-    std::int64_t n;
-    const float* scales;
-    const std::int8_t* codes;
-  };
-  [[nodiscard]] View ViewOf(const std::byte* packed) const {
-    View v;
-    std::memcpy(&v.n, packed, sizeof(v.n));
-    v.scales = reinterpret_cast<const float*>(packed + sizeof(v.n));
-    v.codes = reinterpret_cast<const std::int8_t*>(
-        packed + sizeof(v.n) +
-        static_cast<std::size_t>(QuantBlocks(v.n, block_)) * sizeof(float));
-    return v;
+  static constexpr std::int64_t kBlock = 64;
+
+  static std::size_t ScaleBytes(std::int64_t numel) {
+    return static_cast<std::size_t>(QuantBlocks(numel, kBlock)) *
+           sizeof(float);
   }
-  std::int64_t block_;
-};
-
-struct Registry {
-  std::mutex mu;
-  std::vector<std::unique_ptr<GemmBackend>> backends;
-
-  Registry() {
-    backends.push_back(std::make_unique<F32Backend>());
-    backends.push_back(std::make_unique<F16Backend>());
-    backends.push_back(std::make_unique<Int8Backend>(64));
+  static const std::int8_t* Codes(const std::byte* packed,
+                                  std::int64_t numel) {
+    return reinterpret_cast<const std::int8_t*>(packed + ScaleBytes(numel));
   }
 };
-
-Registry& TheRegistry() {
-  static Registry r;
-  return r;
-}
 
 }  // namespace
 
-void RegisterGemmBackend(std::unique_ptr<GemmBackend> backend) {
-  ZERO_CHECK(backend != nullptr, "null GEMM backend registration");
-  Registry& r = TheRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& b : r.backends) {
-    if (b->name() == backend->name()) {
-      b = std::move(backend);
-      return;
-    }
-  }
-  r.backends.push_back(std::move(backend));
-}
-
 const GemmBackend& GemmBackendByName(std::string_view name) {
-  Registry& r = TheRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (const auto& b : r.backends) {
+  static const F32Backend f32;
+  static const F16Backend f16;
+  static const Int8Backend int8;
+  static const GemmBackend* const kBackends[] = {&f32, &f16, &int8};
+  for (const GemmBackend* b : kBackends) {
     if (b->name() == name) return *b;
   }
   std::string known;
-  for (const auto& b : r.backends) {
+  for (const GemmBackend* b : kBackends) {
     if (!known.empty()) known += ", ";
-    known += std::string(b->name());
+    known += b->name();
   }
-  throw Error("unknown GEMM backend '" + std::string(name) +
-              "' (registered: " + known + ")");
-}
-
-std::vector<std::string> GemmBackendNames() {
-  Registry& r = TheRegistry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> names;
-  names.reserve(r.backends.size());
-  for (const auto& b : r.backends) names.emplace_back(b->name());
-  return names;
+  throw ConfigError("unknown GEMM backend '" + std::string(name) +
+                    "' (known: " + known + ")");
 }
 
 }  // namespace zero::tensor

@@ -1,101 +1,67 @@
-// Runtime-dispatched GEMM backends for reduced-precision serving
-// weights, registered and selected by name (the Dali idiom: every
-// precision implements one interface, a registry maps names to
-// implementations, and callers pick one at load time — the hot path
-// then runs identical call sites for every precision).
+// GEMM backends for reduced-precision serving weights, selected by name
+// at load time (the Dali idiom: every precision implements one
+// interface and the hot path runs identical call sites for each).
 //
-// A backend owns the *encoding* of a weight tensor plus the matching
-// GEMM against it:
+// A backend owns the encoding of a [n, k] weight matrix plus the
+// matching GEMM against it:
 //
 //   C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C
 //
-// with A fp32 activations and W a packed weight matrix in the backend's
-// native storage. Built-in backends:
+// with A fp32 activations. Each precision has exactly one encoding:
 //
 //   "fp32"  — passthrough: stores the identical floats and calls the
 //             identical tensor::Gemm, so serving through it stays
-//             memcmp-bit-exact with the fp32 provider path.
-//   "fp16"  — Half storage (2 bytes/elem), decoded inside the GEMM's
-//             pack step (kernels.hpp GemmHalfWeightT) — no fp32 copy of
-//             the weights is ever materialized. Shaped matrices are
-//             pre-packed into the GEMM's micro-panel layout at load
-//             (PackHalfPanelsT), so the per-call B pack is one
-//             contiguous bulk decode.
+//             memcmp-bit-exact with the trainer's eval forward.
+//   "fp16"  — Half storage pre-packed into the GEMM's micro-panel
+//             layout (kernels.hpp PackHalfPanelsT), so the per-call B
+//             pack is one contiguous bulk decode; no fp32 copy of the
+//             weights is ever materialized.
 //   "int8"  — blockwise-int8 codes (tensor/quantize wire discipline)
 //             with the per-block scales pre-decoded to fp32; ~4x
 //             smaller than fp32, bounded per-element error absmax/127.
+//
+// Every GemmWeightT is bitwise equal to decoding W through DecodeRow and
+// calling Gemm(false, true, ...) on the result.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace zero::tensor {
-
-enum class WeightPrecision : unsigned char { kF32, kF16, kInt8 };
-
-[[nodiscard]] const char* WeightPrecisionName(WeightPrecision p);
 
 class GemmBackend {
  public:
   virtual ~GemmBackend() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual WeightPrecision precision() const = 0;
 
-  // Bytes of packed storage an n-element weight tensor needs.
-  [[nodiscard]] virtual std::size_t PackedBytes(std::int64_t n) const = 0;
+  // Bytes of packed storage a [n, k] weight matrix needs.
+  [[nodiscard]] virtual std::size_t PackedBytes(std::int64_t n,
+                                                std::int64_t k) const = 0;
 
-  // Encode n fp32 weights into `dst` (PackedBytes(n) bytes, at least
-  // 4-byte aligned).
-  virtual void Pack(const float* src, std::int64_t n, std::byte* dst) const = 0;
+  // Encodes the row-major [n, k] fp32 matrix into `dst` (PackedBytes(n, k)
+  // bytes, at least 4-byte aligned).
+  virtual void Pack(const float* src, std::int64_t n, std::int64_t k,
+                    std::byte* dst) const = 0;
 
-  // Decode elements [off, off+count) of a packed tensor back to fp32 —
-  // embedding-row gathers and the equivalence tests.
-  virtual void Decode(const std::byte* packed, std::int64_t off,
-                      std::int64_t count, float* dst) const = 0;
+  // Row `row` of the packed [n, k] matrix back to fp32 (embedding
+  // gathers).
+  virtual void DecodeRow(const std::byte* packed, std::int64_t n,
+                         std::int64_t k, std::int64_t row,
+                         float* dst) const = 0;
 
-  // C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C for the weight matrix
-  // starting at element `off` of the packed tensor.
+  // C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C for the packed W.
   virtual void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                            float alpha, const float* a,
-                           const std::byte* packed, std::int64_t off,
-                           float beta, float* c) const = 0;
-
-  // Shape-aware matrix encoding: a [n, k] weight matrix packed as one
-  // unit, with the shape known at pack time. The defaults reuse the
-  // flat row-major encoding above; a backend overrides them when a
-  // bespoke layout pays (fp16 stores pre-packed GEMM micro-panels, so
-  // the per-call B pack collapses to one contiguous bulk decode). Every
-  // override must keep MatrixGemmWeightT bitwise equal to GemmWeightT
-  // on the flat encoding of the same floats — the layout is a storage
-  // choice, never a numerics choice.
-  [[nodiscard]] virtual std::size_t PackedMatrixBytes(std::int64_t n,
-                                                      std::int64_t k) const;
-  virtual void PackMatrix(const float* src, std::int64_t n, std::int64_t k,
-                          std::byte* dst) const;
-  // Row `row` of the [n, k] matrix back to fp32 (embedding gathers).
-  virtual void DecodeMatrixRow(const std::byte* packed, std::int64_t n,
-                               std::int64_t k, std::int64_t row,
-                               float* dst) const;
-  virtual void MatrixGemmWeightT(std::int64_t m, std::int64_t n,
-                                 std::int64_t k, float alpha, const float* a,
-                                 const std::byte* packed, float beta,
-                                 float* c) const;
+                           const std::byte* packed, float beta,
+                           float* c) const = 0;
 };
 
-// Registers a backend under backend->name(); replaces an existing
-// registration of the same name (latest wins, so tests can shadow).
-void RegisterGemmBackend(std::unique_ptr<GemmBackend> backend);
-
-// Lookup by name; throws ZeroError on unknown names, listing what is
-// registered. The returned reference stays valid for process lifetime.
+// One of the fixed backends "fp32", "fp16" and "int8". The name is
+// outside input (ZERO_SERVE_WEIGHTS, InferenceOptions::weights), so an
+// unknown one throws ConfigError listing the known names. The reference
+// stays valid for process lifetime.
 [[nodiscard]] const GemmBackend& GemmBackendByName(std::string_view name);
-
-// Registered names, registration order (built-ins first).
-[[nodiscard]] std::vector<std::string> GemmBackendNames();
 
 }  // namespace zero::tensor

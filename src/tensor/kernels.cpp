@@ -149,197 +149,15 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
   }
 }
 
-void PackedGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-                std::int64_t k, float alpha, const float* a, const float* b,
-                float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t b_panels = (nc_max + kNr - 1) / kNr;
-  float* pb = scratch.AllocateT<float>(
-      static_cast<std::size_t>(b_panels * kKc * kNr));
-  const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
-
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc = std::min(kNc, n - jc);
-    const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      const std::int64_t kc = std::min(kKc, k - pc);
-      PackB(b, trans_b, k, n, pc, kc, jc, nc, pb);
-      // Row blocks are independent: each C element accumulates its
-      // kc-panel contribution in the same serial order no matter which
-      // worker owns the block (the pc loop is a barrier).
-      ParallelFor(0, n_iblocks, 1, [&](std::int64_t ib0, std::int64_t ib1) {
-        alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
-        alloc::ScratchGuard task_guard(task_scratch);
-        float* pa = task_scratch.AllocateT<float>(
-            static_cast<std::size_t>(((kMc + kMr - 1) / kMr) * kMr * kKc));
-        for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-          const std::int64_t i0 = ib * kMc;
-          const std::int64_t mc = std::min(kMc, m - i0);
-          PackA(a, trans_a, m, k, i0, mc, pc, kc, alpha, pa);
-          const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
-          for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
-            const float* pbp = pb + jr * kc * kNr;
-            const std::int64_t j0 = jc + jr * kNr;
-            const std::int64_t nr_e = std::min<std::int64_t>(kNr, n - j0);
-            for (std::int64_t ir = 0; ir < ir_panels; ++ir) {
-              const std::int64_t r0 = i0 + ir * kMr;
-              const std::int64_t mr_e = std::min<std::int64_t>(kMr, m - r0);
-              MicroKernel(kc, pa + ir * kc * kMr, pbp, c + r0 * n + j0, n,
-                          mr_e, nr_e);
-            }
-          }
-        }
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Mixed-precision weight operands. A reader maps a flat element index of
-// the [n, k] weight matrix to fp32; Decode() handles a contiguous run
-// (one weight row's k-slice) so the blocked path can use the bulk
-// AVX-512 half decoder inside PackB instead of a per-element gather.
-struct HalfWeightReader {
-  const Half* w;
-  const float* lut;
-  float operator()(std::int64_t idx) const { return lut[w[idx].bits()]; }
-  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
-    HalfToFloat(w + idx, dst, static_cast<std::size_t>(len));
-  }
-};
-
-struct QuantWeightReader {
-  const std::int8_t* codes;
-  const float* scales;
-  std::int64_t qblock;
-  float operator()(std::int64_t idx) const {
-    return static_cast<float>(codes[idx]) * scales[idx / qblock];
-  }
-  void Decode(std::int64_t idx, std::int64_t len, float* dst) const {
-    // Split the run at quant-block boundaries so the inner loop is a
-    // contiguous int8->fp32 convert against one broadcast scale — the
-    // form the compiler vectorizes — instead of a per-element division
-    // for the scale index. Same expression per element, bitwise equal
-    // to the scalar reader.
-    std::int64_t i = idx;
-    std::int64_t o = 0;
-    while (o < len) {
-      const float s = scales[i / qblock];
-      const std::int64_t run = std::min(len - o, qblock - i % qblock);
-      const std::int8_t* cp = codes + i;
-      float* dp = dst + o;
-      for (std::int64_t j = 0; j < run; ++j) {
-        dp[j] = static_cast<float>(cp[j]) * s;
-      }
-      i += run;
-      o += run;
-    }
-  }
-};
-
-// Direct path: the small regime bounds the weight tile (n * k <=
-// kSmallGemmFlops elements), so it is bulk-decoded into thread scratch
-// and fed to the *same* SmallGemm that fp32 callers reach — bitwise the
-// decoded-fp32 result by construction. (A separate reader-based dot
-// product is not equivalent in practice: the compiler contracts the two
-// loop bodies into FMAs differently, and the last-ulp drift would break
-// the §16 envelope the serving tests pin.)
-template <class Reader>
-void SmallGemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                      float alpha, const float* a, const Reader& w,
-                      float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  float* wf = scratch.AllocateT<float>(static_cast<std::size_t>(n * k));
-  w.Decode(0, n * k, wf);
-  SmallGemm(false, true, m, n, k, alpha, a, wf, c);
-}
-
-// PackB twin for a transposed reduced-precision weight operand: panel
-// column j is weight row (j0 + ...), whose k-range [p0, p0+kc) is
-// contiguous in W — decoded in one bulk call, then scattered into the
-// kNr-interleaved panel. This is where the fp16 decode fuses into the
-// pack step.
-template <class Reader>
-void PackWeightT(const Reader& w, std::int64_t k, std::int64_t p0,
-                 std::int64_t kc, std::int64_t j0, std::int64_t nc,
-                 float* dst) {
-  float tmp[kKc];
-  const std::int64_t panels = (nc + kNr - 1) / kNr;
-  for (std::int64_t p = 0; p < panels; ++p) {
-    float* dp = dst + p * kc * kNr;
-    const std::int64_t cbase = j0 + p * kNr;
-    const std::int64_t cvalid = std::min<std::int64_t>(kNr, j0 + nc - cbase);
-    for (std::int64_t j = 0; j < cvalid; ++j) {
-      w.Decode((cbase + j) * k + p0, kc, tmp);
-      for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = tmp[kk];
-    }
-    for (std::int64_t j = cvalid; j < kNr; ++j) {
-      for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = 0.0f;
-    }
-  }
-}
-
-// PackedGemm twin with the B pack swapped for PackWeightT; the blocking
-// loops, A packing and micro-kernel are shared, so the float pipeline is
-// element-for-element the fp32 one.
-template <class Reader>
-void PackedGemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                       float alpha, const float* a, const Reader& w,
-                       float* c) {
-  alloc::ScratchArena& scratch = alloc::ThreadScratch();
-  alloc::ScratchGuard guard(scratch);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t b_panels = (nc_max + kNr - 1) / kNr;
-  float* pb = scratch.AllocateT<float>(
-      static_cast<std::size_t>(b_panels * kKc * kNr));
-  const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
-
-  for (std::int64_t jc = 0; jc < n; jc += kNc) {
-    const std::int64_t nc = std::min(kNc, n - jc);
-    const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    for (std::int64_t pc = 0; pc < k; pc += kKc) {
-      const std::int64_t kc = std::min(kKc, k - pc);
-      PackWeightT(w, k, pc, kc, jc, nc, pb);
-      ParallelFor(0, n_iblocks, 1, [&](std::int64_t ib0, std::int64_t ib1) {
-        alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
-        alloc::ScratchGuard task_guard(task_scratch);
-        float* pa = task_scratch.AllocateT<float>(
-            static_cast<std::size_t>(((kMc + kMr - 1) / kMr) * kMr * kKc));
-        for (std::int64_t ib = ib0; ib < ib1; ++ib) {
-          const std::int64_t i0 = ib * kMc;
-          const std::int64_t mc = std::min(kMc, m - i0);
-          PackA(a, false, m, k, i0, mc, pc, kc, alpha, pa);
-          const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
-          for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
-            const float* pbp = pb + jr * kc * kNr;
-            const std::int64_t j0 = jc + jr * kNr;
-            const std::int64_t nr_e = std::min<std::int64_t>(kNr, n - j0);
-            for (std::int64_t ir = 0; ir < ir_panels; ++ir) {
-              const std::int64_t r0 = i0 + ir * kMr;
-              const std::int64_t mr_e = std::min<std::int64_t>(kMr, m - r0);
-              MicroKernel(kc, pa + ir * kc * kMr, pbp, c + r0 * n + j0, n,
-                          mr_e, nr_e);
-            }
-          }
-        }
-      });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pre-packed fp16 panels: the tile walk below is the B-side blocking of
-// PackedGemm verbatim (jc outer over kNc column blocks, pc inner over
-// kKc k-blocks), so a matrix encoded in this order can be consumed by
-// the packed GEMM with a single contiguous bulk decode per tile in
-// place of the strided per-call pack. `fn(jc, nc, pc, kc, base)` sees
-// each tile's geometry and its element offset into the panel stream;
-// returns the total panel element count.
+// The B-side tile walk of the packed loop nest: jc outer over kNc column
+// blocks, pc inner over kKc k-blocks. `fn(jc, nc, pc, kc, base)` sees
+// each tile's geometry and its element offset in a stream of packed B
+// tiles (kNr-column panels, zero-padded past n); returns the stream's
+// total element count. PackedGemm walks B through it and the fp16 panel
+// encoding stores its tiles in the same order, so a pre-packed tile is
+// one contiguous run at `base`.
 template <class Fn>
-std::int64_t ForEachPanelTile(std::int64_t n, std::int64_t k, Fn&& fn) {
+std::int64_t ForEachBTile(std::int64_t n, std::int64_t k, Fn&& fn) {
   std::int64_t base = 0;
   for (std::int64_t jc = 0; jc < n; jc += kNc) {
     const std::int64_t nc = std::min(kNc, n - jc);
@@ -353,13 +171,15 @@ std::int64_t ForEachPanelTile(std::int64_t n, std::int64_t k, Fn&& fn) {
   return base;
 }
 
-// PackedGemmWeightT with the per-call B pack replaced by a bulk decode
-// of the pre-packed tile: pb receives bitwise the floats PackWeightT
-// would have produced (padding included — padded lanes are stored as
-// fp16 zero), and everything downstream is shared.
-void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
-                           float alpha, const float* a, const Half* panels,
-                           float* c) {
+// The one packed loop nest (BLIS jc/pc/ib/jr/ir). `fill_b(jc, nc, pc, kc,
+// base, pb)` writes the fp32 B tile for columns [jc, jc+nc) x k-range
+// [pc, pc+kc) into pb in PackB's micro-panel layout; each operand
+// encoding brings its own filler, and everything downstream of pb (A
+// packing, the micro-kernel, the row-block partition) is shared, so the
+// float pipeline is element-for-element the same for every encoding.
+template <class FillB>
+void PackedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
+                float alpha, const float* a, const FillB& fill_b, float* c) {
   alloc::ScratchArena& scratch = alloc::ThreadScratch();
   alloc::ScratchGuard guard(scratch);
   const std::int64_t nc_max = std::min(n, kNc);
@@ -368,12 +188,13 @@ void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
       static_cast<std::size_t>(b_panels * kKc * kNr));
   const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
 
-  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
-                             std::int64_t pc, std::int64_t kc,
-                             std::int64_t base) {
+  ForEachBTile(n, k, [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                         std::int64_t kc, std::int64_t base) {
     const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    HalfToFloat(panels + base, pb,
-                static_cast<std::size_t>(jr_panels * kc * kNr));
+    fill_b(jc, nc, pc, kc, base, pb);
+    // Row blocks are independent: each C element accumulates its
+    // kc-panel contribution in the same serial order no matter which
+    // worker owns the block (the pc loop is a barrier).
     ParallelFor(0, n_iblocks, 1, [&](std::int64_t ib0, std::int64_t ib1) {
       alloc::ScratchArena& task_scratch = alloc::ThreadScratch();
       alloc::ScratchGuard task_guard(task_scratch);
@@ -382,7 +203,7 @@ void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
       for (std::int64_t ib = ib0; ib < ib1; ++ib) {
         const std::int64_t i0 = ib * kMc;
         const std::int64_t mc = std::min(kMc, m - i0);
-        PackA(a, false, m, k, i0, mc, pc, kc, alpha, pa);
+        PackA(a, trans_a, m, k, i0, mc, pc, kc, alpha, pa);
         const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
         for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
           const float* pbp = pb + jr * kc * kNr;
@@ -400,10 +221,13 @@ void PackedGemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
   });
 }
 
-template <class Reader>
-void GemmWeightTImpl(std::int64_t m, std::int64_t n, std::int64_t k,
-                     float alpha, const float* a, const Reader& w, float beta,
-                     float* c) {
+// Every GEMM entry point's shape: C = beta * C, then the direct small
+// path or PackedGemm, split at the same flop threshold for every operand
+// encoding.
+template <class Small, class Packed>
+void ScaleAndDispatch(std::int64_t m, std::int64_t n, std::int64_t k,
+                      float beta, float* c, const Small& small,
+                      const Packed& packed) {
   if (beta == 0.0f) {
     ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
       std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
@@ -414,9 +238,58 @@ void GemmWeightTImpl(std::int64_t m, std::int64_t n, std::int64_t k,
   if (m <= 0 || n <= 0 || k <= 0) return;
 
   if (m * n * k <= kSmallGemmFlops) {
-    SmallGemmWeightT(m, n, k, alpha, a, w, c);
+    small();
   } else {
-    PackedGemmWeightT(m, n, k, alpha, a, w, c);
+    packed();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reduced-precision weight operands W[n, k], used transposed. The small
+// path decodes the (bounded: n * k <= kSmallGemmFlops) weight tile row by
+// row into thread scratch and feeds it to the *same* SmallGemm fp32
+// callers reach, so it is bitwise the decoded-fp32 result by
+// construction. (A reader-based dot product is not equivalent in
+// practice: the compiler contracts the two loop bodies into FMAs
+// differently, and the last-ulp drift would break the §16 envelope the
+// serving tests pin.) The packed path swaps only the B filler.
+template <class DecodeRow, class FillB>
+void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
+                 const float* a, const DecodeRow& decode_row,
+                 const FillB& fill_b, float beta, float* c) {
+  ScaleAndDispatch(
+      m, n, k, beta, c,
+      [&] {
+        alloc::ScratchArena& scratch = alloc::ThreadScratch();
+        alloc::ScratchGuard guard(scratch);
+        float* wf = scratch.AllocateT<float>(static_cast<std::size_t>(n * k));
+        for (std::int64_t row = 0; row < n; ++row) {
+          decode_row(row, wf + row * k);
+        }
+        SmallGemm(false, true, m, n, k, alpha, a, wf, c);
+      },
+      [&] { PackedGemm(false, m, n, k, alpha, a, fill_b, c); });
+}
+
+// Blockwise-int8 elements [idx, idx+len) of W to fp32. The run is split
+// at quant-block boundaries so the inner loop is a contiguous int8->fp32
+// convert against one broadcast scale — the form the compiler
+// vectorizes — instead of a per-element division for the scale index.
+void DecodeQuant(const std::int8_t* codes, const float* scales,
+                 std::int64_t qblock, std::int64_t idx, std::int64_t len,
+                 float* dst) {
+  std::int64_t i = idx;
+  std::int64_t o = 0;
+  while (o < len) {
+    const float s = scales[i / qblock];
+    const std::int64_t run = std::min(len - o, qblock - i % qblock);
+    const std::int8_t* cp = codes + i;
+    float* dp = dst + o;
+    for (std::int64_t j = 0; j < run; ++j) {
+      dp[j] = static_cast<float>(cp[j]) * s;
+    }
+    i += run;
+    o += run;
   }
 }
 
@@ -425,53 +298,67 @@ void GemmWeightTImpl(std::int64_t m, std::int64_t n, std::int64_t k,
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c) {
-  if (beta == 0.0f) {
-    ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
-      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
-    });
-  } else if (beta != 1.0f) {
-    Scale(c, beta, m * n);
-  }
-  if (m <= 0 || n <= 0 || k <= 0) return;
-
-  if (m * n * k <= kSmallGemmFlops) {
-    SmallGemm(trans_a, trans_b, m, n, k, alpha, a, b, c);
-  } else {
-    PackedGemm(trans_a, trans_b, m, n, k, alpha, a, b, c);
-  }
-}
-
-void GemmHalfWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                     float alpha, const float* a, const Half* w, float beta,
-                     float* c) {
-  GemmWeightTImpl(m, n, k, alpha, a,
-                  HalfWeightReader{w, HalfDecodeTable()}, beta, c);
+  ScaleAndDispatch(
+      m, n, k, beta, c,
+      [&] { SmallGemm(trans_a, trans_b, m, n, k, alpha, a, b, c); },
+      [&] {
+        PackedGemm(trans_a, m, n, k, alpha, a,
+                   [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                       std::int64_t kc, std::int64_t, float* pb) {
+                     PackB(b, trans_b, k, n, pc, kc, jc, nc, pb);
+                   },
+                   c);
+      });
 }
 
 void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                       float alpha, const float* a, const std::int8_t* codes,
                       const float* scales, std::int64_t qblock, float beta,
                       float* c) {
-  GemmWeightTImpl(m, n, k, alpha, a, QuantWeightReader{codes, scales, qblock},
-                  beta, c);
+  GemmWeightT(
+      m, n, k, alpha, a,
+      [&](std::int64_t row, float* dst) {
+        DecodeQuant(codes, scales, qblock, row * k, k, dst);
+      },
+      // Panel column j is weight row jc + j, whose k-range [pc, pc+kc) is
+      // contiguous in W: decoded in one call, then scattered into the
+      // kNr-interleaved panel.
+      [&](std::int64_t jc, std::int64_t nc, std::int64_t pc, std::int64_t kc,
+          std::int64_t, float* pb) {
+        float tmp[kKc];
+        const std::int64_t panels = (nc + kNr - 1) / kNr;
+        for (std::int64_t p = 0; p < panels; ++p) {
+          float* dp = pb + p * kc * kNr;
+          const std::int64_t cbase = jc + p * kNr;
+          const std::int64_t cvalid =
+              std::min<std::int64_t>(kNr, jc + nc - cbase);
+          for (std::int64_t j = 0; j < cvalid; ++j) {
+            DecodeQuant(codes, scales, qblock, (cbase + j) * k + pc, kc, tmp);
+            for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = tmp[kk];
+          }
+          for (std::int64_t j = cvalid; j < kNr; ++j) {
+            for (std::int64_t kk = 0; kk < kc; ++kk) dp[kk * kNr + j] = 0.0f;
+          }
+        }
+      },
+      beta, c);
 }
 
 std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k) {
-  return ForEachPanelTile(n, k,
-                          [](std::int64_t, std::int64_t, std::int64_t,
-                             std::int64_t, std::int64_t) {});
+  return ForEachBTile(n, k,
+                      [](std::int64_t, std::int64_t, std::int64_t,
+                         std::int64_t, std::int64_t) {});
 }
 
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst) {
-  // Encode every row with the same bulk round-to-nearest-even converter
-  // the flat fp16 encoding uses, then scatter once into panel slots —
-  // load-time only, so clarity beats cleverness here.
+  // Encode every row with the bulk round-to-nearest-even converter, then
+  // scatter once into panel slots — load-time only, so clarity beats
+  // cleverness here.
   std::vector<Half> rows(static_cast<std::size_t>(n * k));
   FloatToHalf(w, rows.data(), rows.size());
-  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
-                             std::int64_t pc, std::int64_t kc,
-                             std::int64_t base) {
+  ForEachBTile(n, k, [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                         std::int64_t kc, std::int64_t base) {
     const std::int64_t panels = (nc + kNr - 1) / kNr;
     for (std::int64_t p = 0; p < panels; ++p) {
       Half* dp = dst + base + p * kc * kNr;
@@ -493,9 +380,8 @@ void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
 void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
                         std::int64_t row, float* dst) {
   const float* lut = HalfDecodeTable();
-  ForEachPanelTile(n, k, [&](std::int64_t jc, std::int64_t nc,
-                             std::int64_t pc, std::int64_t kc,
-                             std::int64_t base) {
+  ForEachBTile(n, k, [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                         std::int64_t kc, std::int64_t base) {
     if (row < jc || row >= jc + nc) return;
     const std::int64_t p = (row - jc) / kNr;
     const std::int64_t j = (row - jc) % kNr;
@@ -509,29 +395,20 @@ void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* panels,
                      float beta, float* c) {
-  if (beta == 0.0f) {
-    ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
-      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
-    });
-  } else if (beta != 1.0f) {
-    Scale(c, beta, m * n);
-  }
-  if (m <= 0 || n <= 0 || k <= 0) return;
-
-  if (m * n * k <= kSmallGemmFlops) {
-    // Same policy as SmallGemmWeightT: materialize the bounded tile
-    // row-major and run the identical SmallGemm (bitwise the fp32
-    // result; see the FMA-contraction note there).
-    alloc::ScratchArena& scratch = alloc::ThreadScratch();
-    alloc::ScratchGuard guard(scratch);
-    float* wf = scratch.AllocateT<float>(static_cast<std::size_t>(n * k));
-    for (std::int64_t row = 0; row < n; ++row) {
-      DecodeHalfPanelRow(panels, n, k, row, wf + row * k);
-    }
-    SmallGemm(false, true, m, n, k, alpha, a, wf, c);
-  } else {
-    PackedGemmHalfPanelsT(m, n, k, alpha, a, panels, c);
-  }
+  GemmWeightT(
+      m, n, k, alpha, a,
+      [&](std::int64_t row, float* dst) {
+        DecodeHalfPanelRow(panels, n, k, row, dst);
+      },
+      // The pre-packed tile is bitwise the floats the strided pack would
+      // produce (padded lanes are stored as fp16 zero), so the B fill is
+      // one contiguous bulk decode.
+      [&](std::int64_t, std::int64_t nc, std::int64_t, std::int64_t kc,
+          std::int64_t base, float* pb) {
+        HalfToFloat(panels + base, pb,
+                    static_cast<std::size_t>((nc + kNr - 1) / kNr * kc * kNr));
+      },
+      beta, c);
 }
 
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,
@@ -858,27 +735,6 @@ float CrossEntropyLoss(const float* logits, const std::int32_t* targets,
   return static_cast<float>(total / static_cast<double>(rows));
 }
 
-void EmbeddingGather(const float* table, const std::int32_t* ids, float* out,
-                     std::int64_t n_ids, std::int64_t dim) {
-  ParallelFor(0, n_ids, RowGrain(dim), [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      std::memcpy(out + i * dim,
-                  table + static_cast<std::int64_t>(ids[i]) * dim,
-                  static_cast<std::size_t>(dim) * sizeof(float));
-    }
-  });
-}
-
-void EmbeddingScatterAdd(float* dtable, const std::int32_t* ids,
-                         const float* dout, std::int64_t n_ids,
-                         std::int64_t dim) {
-  for (std::int64_t i = 0; i < n_ids; ++i) {
-    float* dst = dtable + static_cast<std::int64_t>(ids[i]) * dim;
-    const float* src = dout + i * dim;
-    for (std::int64_t d = 0; d < dim; ++d) dst[d] += src[d];
-  }
-}
-
 void Axpy(float a, const float* x, float* y, std::int64_t n) {
   ParallelFor(0, n, kElemChunk, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) y[i] += a * x[i];
@@ -931,16 +787,6 @@ float SquaredNormF16(const Half* x, std::int64_t n) {
     for (std::int64_t i = b; i < e; ++i) {
       const double v = lut[x[i].bits()];
       acc += v * v;
-    }
-    return acc;
-  });
-}
-
-float Dot(const float* a, const float* b, std::int64_t n) {
-  return ChunkedReduce(n, [&](std::int64_t b0, std::int64_t e0) {
-    double acc = 0.0;
-    for (std::int64_t i = b0; i < e0; ++i) {
-      acc += static_cast<double>(a[i]) * b[i];
     }
     return acc;
   });

@@ -4,7 +4,9 @@
 // implementation makes. The GEMM is a packed, register-blocked
 // micro-kernel (BLIS-style: A/B panels are packed into contiguous tile
 // buffers from thread-local scratch so all four transpose cases hit the
-// same cache-friendly inner loop), and the large kernels partition their
+// same cache-friendly inner loop). One loop nest serves every operand
+// encoding — fp32 B, int8 and fp16 serving weights differ only in how
+// a B tile is filled. The large kernels partition their
 // output rows across the opt-in intra-op worker pool (parallel_for.hpp).
 //
 // Determinism contract: every kernel returns bitwise-identical results
@@ -32,40 +34,31 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c);
 
-// Mixed-precision GEMMs for reduced-precision serving weights. The
-// weight operand W is stored [n, k] row-major and used transposed (the
-// shape every projection in the model keeps), so
+// Reduced-precision weight GEMMs for the serving backends
+// (tensor/gemm_backend.hpp). The weight operand W is stored [n, k] and
+// used transposed (the shape every projection in the model keeps), so
 //   C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C[m,n]
-// with A fp32 activations. No persistent fp32 copy of W exists: the
-// blocked path decodes each weight row's k-slice in bulk (the AVX-512
-// LUT decoder) inside the B pack step, and the small path bulk-decodes
-// the (bounded) weight tile into thread scratch. Both paths produce
-// bitwise the result of decoding W to fp32 and calling
-// Gemm(false, true, ...) — same dispatch threshold, same kernels, same
-// summation order.
-void GemmHalfWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
-                     float alpha, const float* a, const Half* w, float beta,
-                     float* c);
-// Blockwise-int8 weight operand: element i of W decodes to
-// codes[i] * scales[i / qblock] (scales pre-decoded to fp32, matching
-// tensor/quantize's dequantization bitwise).
+// with A fp32 activations. No persistent fp32 copy of W exists. Each
+// entry point runs Gemm's own dispatch and loop nest with only the
+// weight read swapped: the small path decodes the (bounded) weight tile
+// into thread scratch, the packed path decodes each B tile as it is
+// packed. Both produce bitwise the result of decoding W to fp32 and
+// calling Gemm(false, true, ...) — same dispatch threshold, same
+// kernels, same summation order.
+//
+// Blockwise-int8 W: element i decodes to codes[i] * scales[i / qblock]
+// (scales pre-decoded to fp32, matching tensor/quantize's
+// dequantization bitwise).
 void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                       float alpha, const float* a, const std::int8_t* codes,
                       const float* scales, std::int64_t qblock, float beta,
                       float* c);
 
-// Pre-packed fp16 weight panels. Weights are static across a serving
-// run, so re-packing the B operand on every GEMM call is pure waste:
-// these entry points encode a [n, k] weight matrix ONCE into the exact
-// micro-panel layout the packed GEMM's B-pack produces (kNr-column
-// panels per (column-block, k-block) tile, zero-padded past n), stored
-// as fp16. The per-call GEMM then replaces the strided pack walk with
-// one contiguous bulk AVX-512 decode of the current tile straight into
-// the panel buffer — identical fp32 panel contents through the
-// identical micro-kernel (and the identical small-GEMM dispatch), so
-// results stay bitwise equal to GemmHalfWeightT on the row-major
-// encoding while the per-step weight traffic halves and the pack
-// becomes a linear fp16 stream.
+// fp16 W, pre-packed once at load into the exact tile and micro-panel
+// layout the packed GEMM's B pack produces (kNr-column panels per
+// (column-block, k-block) tile, zero-padded past n). Per call, the B
+// pack is then one contiguous bulk AVX-512 decode of each tile — the
+// same fp32 panel contents through the same micro-kernel.
 [[nodiscard]] std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k);
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst);
@@ -127,20 +120,10 @@ void CausalMaskedSoftmax(float* scores, std::int64_t batch_heads,
 float CrossEntropyLoss(const float* logits, const std::int32_t* targets,
                        std::int64_t rows, std::int64_t vocab, float* dlogits);
 
-// out[i, :] = table[ids[i], :].
-void EmbeddingGather(const float* table, const std::int32_t* ids, float* out,
-                     std::int64_t n_ids, std::int64_t dim);
-// dtable[ids[i], :] += dout[i, :]. Serial: ids may repeat, so row
-// partitioning would race on dtable.
-void EmbeddingScatterAdd(float* dtable, const std::int32_t* ids,
-                         const float* dout, std::int64_t n_ids,
-                         std::int64_t dim);
-
 void Axpy(float a, const float* x, float* y, std::int64_t n);
 void Scale(float* x, float a, std::int64_t n);
 [[nodiscard]] float SquaredNorm(const float* x, std::int64_t n);
 [[nodiscard]] float SquaredNormF16(const Half* x, std::int64_t n);
-[[nodiscard]] float Dot(const float* a, const float* b, std::int64_t n);
 
 // Bulk fp16 <-> fp32 conversion, row-partitioned over the worker pool.
 // Same bit-exact semantics as the serial common/half.hpp converters

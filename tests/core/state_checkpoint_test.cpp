@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "comm/world.hpp"
+#include "common/error.hpp"
 #include "core/dp_engine.hpp"
 #include "model/quad_model.hpp"
 
@@ -54,6 +58,28 @@ TEST(TrainingStateTest, RejectsCorruptData) {
   // Bad magic.
   bytes[0] = static_cast<std::byte>(0xFF);
   EXPECT_THROW(TrainingState::Deserialize(bytes), Error);
+}
+
+// A header-only file whose total_numel makes 3 * numel * sizeof(float)
+// wrap size_t (2^62 wraps to exactly 0) must fail the size check, not
+// pass it and throw std::length_error out of the array resize.
+TEST(TrainingStateTest, RejectsOverflowingNumelHeader) {
+  const auto header_only = TrainingState{}.Serialize();
+  ASSERT_EQ(header_only.size(), 64u);
+  for (const std::int64_t numel :
+       {std::int64_t{1} << 62, (std::int64_t{1} << 62) + 1,
+        std::numeric_limits<std::int64_t>::max()}) {
+    auto bytes = header_only;
+    std::memcpy(bytes.data() + 16, &numel, sizeof(numel));  // total_numel
+    try {
+      (void)TrainingState::Deserialize(bytes);
+      ADD_FAILURE() << "accepted total_numel " << numel;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("size does not match its header"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TrainingStateTest, FileRoundTrip) {

@@ -7,11 +7,13 @@
 // reproduces by exporting ZERO_CHAOS_SEEDS=<seed>.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "fault/fault_plan.hpp"
@@ -19,13 +21,22 @@
 namespace zero::fault {
 namespace {
 
+// ZERO_CHAOS_SEEDS is a comma-separated list of decimal seeds; an item
+// that is not a whole unsigned decimal throws ConfigError naming it.
 std::vector<std::uint64_t> ChaosSeeds() {
   std::vector<std::uint64_t> seeds;
-  if (const char* env = std::getenv("ZERO_CHAOS_SEEDS")) {
-    std::stringstream ss(env);
+  if (const auto env = EnvString("ZERO_CHAOS_SEEDS")) {
+    std::stringstream ss(*env);
     std::string item;
     while (std::getline(ss, item, ',')) {
-      if (!item.empty()) seeds.push_back(std::stoull(item));
+      std::uint64_t seed = 0;
+      const char* end = item.data() + item.size();
+      const auto [ptr, ec] = std::from_chars(item.data(), end, seed);
+      if (item.empty() || ec != std::errc() || ptr != end) {
+        throw ConfigError("ZERO_CHAOS_SEEDS: bad seed '" + item + "' in '" +
+                          *env + "'");
+      }
+      seeds.push_back(seed);
     }
   }
   if (seeds.empty()) seeds = {11, 23, 37, 53};

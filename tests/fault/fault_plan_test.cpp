@@ -78,6 +78,42 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::Parse("seed=abc;crash@0"), Error);
 }
 
+// Rank, occurrence and seed parse as whole decimal strings: no sign, no
+// trailing text, no overflow — each rejected as a ConfigError that names
+// the offending rule.
+TEST(FaultPlanTest, RejectsMalformedNumbers) {
+  const struct {
+    const char* spec;
+    const char* named;  // the rule (or seed clause) the error must name
+  } cases[] = {
+      {"crash@99999999999", "crash@99999999999"},  // rank overflows int
+      {"crash@-1", "crash@-1"},                    // signed rank
+      {"crash@+1", "crash@+1"},
+      {"crash@1x", "crash@1x"},                    // trailing text
+      {"crash@1:step#-1", "crash@1:step#-1"},      // signed occurrence
+      {"crash@1:step#3x", "crash@1:step#3x"},      // trailing text
+      {"dup@0#", "dup@0#"},                        // empty occurrence
+      {"crash@0#99999999999999999999", "crash@0#99999999999999999999"},
+      {"seed=-1;crash@0", "seed=-1"},              // signed seed
+      {"seed=7x;crash@0", "seed=7x"},
+      {"seed=;crash@0", "seed="},
+      {"seed=18446744073709551616", "seed=18446744073709551616"},  // 2^64
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)FaultPlan::Parse(c.spec);
+      ADD_FAILURE() << "accepted '" << c.spec << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
+          << e.what();
+    }
+  }
+  // The extremes that fit still parse.
+  EXPECT_EQ(FaultPlan::Parse("crash@2147483647").rules[0].rank, 2147483647);
+  EXPECT_EQ(FaultPlan::Parse("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+}
+
 TEST(FaultInjectorTest, ExactOccurrenceFiresExactlyOnce) {
   FaultInjector injector(FaultPlan::Parse("dup@0#3"), /*world_size=*/2);
   for (int i = 0; i < 10; ++i) {

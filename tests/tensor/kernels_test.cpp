@@ -385,23 +385,7 @@ TEST(CrossEntropyTest, PerfectPredictionNearZeroLoss) {
               0.0f, 1e-4f);
 }
 
-TEST(EmbeddingTest, GatherScatterAreAdjoint) {
-  const std::int64_t vocab = 6, dim = 3, n = 4;
-  auto table = RandVec(static_cast<std::size_t>(vocab * dim), 15);
-  std::vector<std::int32_t> ids{2, 0, 2, 5};
-  std::vector<float> out(static_cast<std::size_t>(n * dim));
-  EmbeddingGather(table.data(), ids.data(), out.data(), n, dim);
-  EXPECT_EQ(out[0], table[static_cast<std::size_t>(2 * dim)]);
-  // Scatter-add of ones counts occurrences.
-  std::vector<float> dtable(table.size(), 0.0f);
-  std::vector<float> dout(out.size(), 1.0f);
-  EmbeddingScatterAdd(dtable.data(), ids.data(), dout.data(), n, dim);
-  EXPECT_EQ(dtable[static_cast<std::size_t>(2 * dim)], 2.0f);  // id 2 twice
-  EXPECT_EQ(dtable[static_cast<std::size_t>(0 * dim)], 1.0f);
-  EXPECT_EQ(dtable[static_cast<std::size_t>(1 * dim)], 0.0f);
-}
-
-TEST(BlasLikeTest, AxpyScaleNormDot) {
+TEST(BlasLikeTest, AxpyScaleNorm) {
   std::vector<float> x{1, 2, 3};
   std::vector<float> y{10, 20, 30};
   Axpy(2.0f, x.data(), y.data(), 3);
@@ -409,7 +393,6 @@ TEST(BlasLikeTest, AxpyScaleNormDot) {
   Scale(y.data(), 0.5f, 3);
   EXPECT_EQ(y[0], 6.0f);
   EXPECT_NEAR(SquaredNorm(x.data(), 3), 14.0f, 1e-6f);
-  EXPECT_NEAR(Dot(x.data(), x.data(), 3), 14.0f, 1e-6f);
 }
 
 TEST(BiasTest, AddAndGradAreAdjoint) {
