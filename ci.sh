@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: release build + tests, the common, comm, obs, optim,
-# tensor, model and serve suites under AddressSanitizer + UBSan, then the
+# tensor, model, serve, alloc and sim suites under AddressSanitizer +
+# UBSan, then the
 # whole suite again under ThreadSanitizer. The runtime is thread-per-rank
 # SPMD over mailboxes, so TSan is the check that actually matters for the
 # comm layer — in particular the nonblocking request path that overlaps
@@ -170,20 +171,22 @@ for knob in ZERO_PREFETCH=abc ZERO_COMM_DEADLINE_MS=-1 ZERO_QWZ=no; do
   grep -q "${knob%%=*}" build/smoke_env.err
 done
 
-echo "==> asan: common, comm, obs, optim, tensor, model, serve suites"
+echo "==> asan: common, comm, obs, optim, tensor, model, serve, alloc, sim suites"
 # The environment parser (it reads outside input), the ring machines,
 # the p2p request layer and the qwZ wire format, the telemetry layer
 # (trace rings, metrics registries, the Chrome serializer and the flight
 # recorder), the fused Adam kernel (stack block buffers, __restrict
 # pointers), then the packed GEMM loop nest and its B-tile fillers, the
-# serving-weight backends and the decode path under the asan preset,
-# with LeakSanitizer on. halt_on_error makes the first UBSan report fail
+# serving-weight backends and the decode path, then the allocators
+# (caching allocator, arena, host and NVMe tiers) and the cluster
+# simulator under the asan preset, with LeakSanitizer on. halt_on_error makes the first UBSan report fail
 # the run (ASan already aborts on its first report).
 cmake --preset asan >/dev/null
 cmake --build --preset asan --target test_common test_comm test_obs \
-  test_optim test_tensor test_model test_serve -j "${JOBS}"
+  test_optim test_tensor test_model test_serve test_alloc test_sim \
+  -j "${JOBS}"
 for suite in test_common test_comm test_obs test_optim test_tensor \
-  test_model test_serve; do
+  test_model test_serve test_alloc test_sim; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "./build-asan/tests/${suite}"
 done
 

@@ -39,7 +39,7 @@
 
 namespace zero::comm {
 
-enum class ReduceOp : unsigned char { kSum, kAvg, kMax };
+enum class ReduceOp : unsigned char { kSum, kMax };
 
 struct CommStats {
   std::uint64_t bytes_sent = 0;
@@ -103,7 +103,6 @@ inline void AccumulateInto(T* dst, const T* src, std::size_t n,
   using P = FpPromote<T>;
   switch (op) {
     case ReduceOp::kSum:
-    case ReduceOp::kAvg:
       for (std::size_t i = 0; i < n; ++i)
         dst[i] = P::Narrow(P::Widen(dst[i]) + P::Widen(src[i]));
       break;
@@ -133,14 +132,6 @@ inline void AccumulateInto<Half>(Half* dst, const Half* src, std::size_t n,
     }
     FloatToHalf(a, dst + i0, len);
   }
-}
-
-template <typename T>
-inline void ScaleBy(T* dst, std::size_t n, double s) {
-  using P = FpPromote<T>;
-  for (std::size_t i = 0; i < n; ++i)
-    dst[i] = P::Narrow(
-        static_cast<typename P::type>(P::Widen(dst[i]) * s));
 }
 }  // namespace detail
 
@@ -546,8 +537,8 @@ class GatherMachine final : public Machine {
 };
 
 // In-place ring reduce-scatter phase followed by an optional finishing
-// action (copy-out for IReduceScatter, the all-gather phase + averaging
-// for IAllReduce). At step s rank r forwards its partial of chunk r-s-1
+// action (copy-out for IReduceScatter, the all-gather phase for
+// IAllReduce). At step s rank r forwards its partial of chunk r-s-1
 // and folds the received partial of chunk r-s-2 into its own buffer
 // (own + received), so rank r ends holding chunk r with the bracketing
 // of the determinism contract above.
@@ -631,9 +622,6 @@ class ReduceScatterMachine final : public ReducePhaseMachine<T> {
                 this->data_.data() +
                     chunk * static_cast<std::size_t>(this->comm_->rank()),
                 chunk * sizeof(T));
-    if (this->op_ == ReduceOp::kAvg) {
-      detail::ScaleBy(out_.data(), out_.size(), 1.0 / this->comm_->size());
-    }
     this->done_ = true;
   }
 
@@ -651,7 +639,7 @@ class AllReduceMachine final : public ReducePhaseMachine<T> {
   bool Advance(bool blocking) override {
     if (gather_) {
       if (!gather_->Advance(blocking)) return false;
-      Finish();
+      this->done_ = true;
       return true;
     }
     return ReducePhaseMachine<T>::Advance(blocking);
@@ -677,14 +665,6 @@ class AllReduceMachine final : public ReducePhaseMachine<T> {
   }
 
  private:
-  void Finish() {
-    if (this->op_ == ReduceOp::kAvg) {
-      detail::ScaleBy(this->data_.data(), this->data_.size(),
-                      1.0 / this->comm_->size());
-    }
-    this->done_ = true;
-  }
-
   std::unique_ptr<GatherMachine> gather_;
 };
 
@@ -779,7 +759,7 @@ template <typename T>
 }
 
 // Nonblocking Communicator::AllReduce: the reduce-scatter phase, then the
-// all-gather phase, then the kAvg scaling.
+// all-gather phase.
 template <typename T>
 [[nodiscard]] CollectiveRequest IAllReduce(Communicator& comm,
                                            std::span<T> data,

@@ -33,9 +33,6 @@ void HierarchicalAllReduce(Communicator& local, Communicator* leaders,
   const bool is_leader = local.rank() == 0;
   ZERO_CHECK(is_leader == (leaders != nullptr),
              "exactly the local-rank-0 members must pass the leader comm");
-  ZERO_CHECK(op != ReduceOp::kAvg,
-             "HierarchicalAllReduce supports kSum/kMax; apply averaging at "
-             "the call site (non-leaders cannot see the global count)");
 
   if (g == 1) {
     // Degenerate local group: just the cross-node phase.

@@ -1,6 +1,7 @@
 #include "common/half.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #if defined(__AVX512F__)
@@ -185,6 +186,15 @@ bool AnyInfOrNan(const Half* src, std::size_t n) {
   unsigned any = 0;
   for (std::size_t i = 0; i < n; ++i) {
     any |= static_cast<unsigned>((src[i].bits() & 0x7C00u) == 0x7C00u);
+  }
+  return any != 0;
+}
+
+bool AnyInfOrNan(const float* src, std::size_t n) {
+  unsigned any = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    any |= static_cast<unsigned>(
+        (std::bit_cast<std::uint32_t>(src[i]) & 0x7F800000u) == 0x7F800000u);
   }
   return any != 0;
 }

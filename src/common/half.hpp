@@ -94,5 +94,6 @@ void AccumulateHalf(const Half* src, float* acc, std::size_t n);
 // branch-free OR-reduction: it reads every element, with no early exit,
 // so the loop vectorizes.
 bool AnyInfOrNan(const Half* src, std::size_t n);
+bool AnyInfOrNan(const float* src, std::size_t n);
 
 }  // namespace zero

@@ -241,19 +241,14 @@ void ZeroDpEngine::AccumulateReduced() {
 
 bool ZeroDpEngine::DetectGlobalOverflow() {
   bool local = false;
-  auto scan_f32 = [&](std::span<const float> v) {
-    for (float x : v) {
-      if (!std::isfinite(x)) return true;
-    }
-    return false;
-  };
   if (acc_.defined()) {
-    local = scan_f32(acc_.f32());
+    local = AnyInfOrNan(acc_.f32().data(), acc_.f32().size());
   } else if (cfg_.fp16) {
     const std::span<const Half> g = strategy_->ReducedF16();
     local = AnyInfOrNan(g.data(), g.size());
   } else {
-    local = scan_f32(strategy_->ReducedF32());
+    const std::span<const float> g = strategy_->ReducedF32();
+    local = AnyInfOrNan(g.data(), g.size());
   }
   // Every rank must agree before the scaler is consulted, or the SPMD
   // ranks would diverge on whether the update happened.

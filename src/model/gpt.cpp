@@ -43,6 +43,10 @@ Rng RowStream(std::uint64_t seed, ParamCode code, std::int64_t layer,
                          static_cast<std::uint64_t>(global_row));
 }
 
+void CopyFloats(float* dst, const float* src, std::int64_t n) {
+  std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+}
+
 // Copy head-sliced columns [col0, col0+lh*hd) of src [B*S, row_width]
 // into dst laid out as [B*lh, S, hd] with contiguous (S, hd) per head.
 void SplitHeads(const float* src, std::int64_t row_width, std::int64_t col0,
@@ -77,21 +81,9 @@ void MergeHeads(const float* src, float* dst, std::int64_t row_width,
 }  // namespace
 
 void GptModel::LayerStash::DropAll() {
-  x_in = Tensor();
-  ln1_mean = Tensor();
-  ln1_rstd = Tensor();
-  a = Tensor();
-  q = Tensor();
-  k = Tensor();
-  v = Tensor();
-  att = Tensor();
-  ctx = Tensor();
-  x_mid = Tensor();
-  ln2_mean = Tensor();
-  ln2_rstd = Tensor();
-  b2 = Tensor();
-  h1 = Tensor();
-  f = Tensor();
+  const std::int64_t handle = ckpt_handle;  // outlives the tensors
+  *this = LayerStash();
+  ckpt_handle = handle;
 }
 
 GptModel::GptModel(GptConfig config, GptSession session)
@@ -259,42 +251,170 @@ void GptModel::InitParameters(std::span<float> flat,
   }
 }
 
-void GptModel::BlockForward(std::span<const float> up, const float* x_in,
-                            float* x_out, std::int64_t bs,
-                            LayerStash& st) const {
+// Read access to one unit's weights for the shared forward body: the
+// unit's fp32 parameter span (training, eval) or the engine-resident
+// serving weights (decode). A plain branch rather than a virtual seam:
+// these are the only two weight sources.
+class GptModel::UnitWeights {
+ public:
+  explicit UnitWeights(std::span<const float> unit) : f32_(unit.data()) {}
+  UnitWeights(const ServingWeights& serving, int unit)
+      : serving_(&serving), unit_(unit) {}
+
+  // The fp32 vector entry at unit-relative offset `off`.
+  [[nodiscard]] const float* Vec(std::int64_t off) const {
+    return serving_ != nullptr ? serving_->Vec(unit_, off) : f32_ + off;
+  }
+
+  // Row `row` of the [*, cols] matrix at `off`; serving weights decode it
+  // into `scratch`.
+  [[nodiscard]] const float* Row(std::int64_t off, std::int64_t row,
+                                 std::int64_t cols, float* scratch) const {
+    if (serving_ == nullptr) return f32_ + off + row * cols;
+    serving_->DecodeRow(unit_, off, row, cols, scratch);
+    return scratch;
+  }
+
+  // c[m, n] = a[m, k] * W[n, k]^T for the matrix W at `off`.
+  void GemmT(std::int64_t off, std::int64_t m, std::int64_t n, std::int64_t k,
+             const float* a, float* c) const {
+    if (serving_ != nullptr) {
+      serving_->GemmWeightT(unit_, off, m, n, k, 1.0f, a, 0.0f, c);
+    } else {
+      tensor::Gemm(false, true, m, n, k, 1.0f, a, f32_ + off, 0.0f, c);
+    }
+  }
+
+ private:
+  const float* f32_ = nullptr;
+  const ServingWeights* serving_ = nullptr;
+  int unit_ = 0;
+};
+
+// One packed serving step as the cached-attention step sees it.
+struct GptModel::DecodeStep {
+  struct Group {
+    std::int64_t begin, end;  // contiguous token run of one slot
+  };
+  std::span<const DecodeToken> tokens;
+  std::vector<Group> groups;
+  KvCache* kv = nullptr;
+  int layer = 0;  // block being run
+};
+
+// What Step's backward half reads from its forward half.
+struct GptModel::ForwardStash {
+  std::vector<LayerStash> layers;
+  Tensor x;                   // [BS, H] last block output
+  Tensor lnf_mean, lnf_rstd;  // [BS]
+  Tensor y;                   // [BS, H] final norm output
+  Tensor dlogits;             // [BS, V] loss gradient
+};
+
+void GptModel::Embed(const UnitWeights& u0, std::span<const std::int32_t> ids,
+                     std::span<const std::int64_t> pos, float* x) const {
+  const std::int64_t h = config_.hidden;
+  const float* wpe = u0.Vec(off_wpe_);
+  std::vector<float> te_row(static_cast<std::size_t>(h));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ZERO_CHECK(ids[i] >= 0 && ids[i] < config_.vocab, "token id out of range");
+    const float* te = u0.Row(off_wte_, ids[i], h, te_row.data());
+    const float* pe = wpe + pos[i] * h;
+    float* row = x + static_cast<std::int64_t>(i) * h;
+    for (std::int64_t c = 0; c < h; ++c) row[c] = te[c] + pe[c];
+  }
+}
+
+void GptModel::BlockForward(const UnitWeights& w, const float* x_in,
+                            float* x_out, std::int64_t rows, LayerStash& st,
+                            const DecodeStep* decode) const {
   namespace K = tensor;
   const std::int64_t h = config_.hidden;
   const std::int64_t m = mp_size();
   const std::int64_t hm = h / m;
   const std::int64_t im = config_.inner() / m;
+
+  st.ln1_mean = NewAct({rows});
+  st.ln1_rstd = NewAct({rows});
+  st.a = NewAct({rows, h});
+  K::LayerNormForward(x_in, w.Vec(lo_.ln1_g), w.Vec(lo_.ln1_b),
+                      st.a.f32().data(), st.ln1_mean.f32().data(),
+                      st.ln1_rstd.f32().data(), rows, h, config_.ln_eps);
+
+  // qkv projection (column-parallel), then attention into st.ctx.
+  Tensor qkv = NewAct({rows, 3 * hm});
+  w.GemmT(lo_.w_qkv, rows, 3 * hm, h, st.a.f32().data(), qkv.f32().data());
+  K::AddBiasRows(qkv.f32().data(), w.Vec(lo_.b_qkv), rows, 3 * hm);
+  if (decode != nullptr) {
+    CachedAttention(std::move(qkv), *decode, st);
+  } else {
+    CausalAttention(std::move(qkv), rows, st);
+  }
+
+  // Attention output projection (row-parallel): partial matmul, then
+  // MP all-reduce #1, then the replicated bias.
+  st.x_mid = NewAct({rows, h});
+  {
+    Tensor o = NewAct({rows, h});
+    w.GemmT(lo_.w_o, rows, h, hm, st.ctx.f32().data(), o.f32().data());
+    MpAllReduce(o.f32().data(), rows * h);
+    K::AddBiasRows(o.f32().data(), w.Vec(lo_.b_o), rows, h);
+    const float* ov = o.f32().data();
+    float* xm = st.x_mid.f32().data();
+    for (std::int64_t i = 0; i < rows * h; ++i) xm[i] = x_in[i] + ov[i];
+  }
+
+  st.ln2_mean = NewAct({rows});
+  st.ln2_rstd = NewAct({rows});
+  st.b2 = NewAct({rows, h});
+  K::LayerNormForward(st.x_mid.f32().data(), w.Vec(lo_.ln2_g),
+                      w.Vec(lo_.ln2_b), st.b2.f32().data(),
+                      st.ln2_mean.f32().data(), st.ln2_rstd.f32().data(),
+                      rows, h, config_.ln_eps);
+
+  st.h1 = NewAct({rows, im});
+  w.GemmT(lo_.w_fc, rows, im, h, st.b2.f32().data(), st.h1.f32().data());
+
+  // Fused epilogue: st.h1 becomes z = fc_out + bias (stashed for
+  // backward), st.f the activation.
+  st.f = NewAct({rows, im});
+  {
+    TRACE_SPAN("model/gelu");
+    K::BiasGeluForward(st.h1.f32().data(), w.Vec(lo_.b_fc),
+                       st.h1.f32().data(), st.f.f32().data(), rows, im);
+  }
+
+  // MLP output projection (row-parallel): MP all-reduce #2.
+  {
+    Tensor p = NewAct({rows, h});
+    w.GemmT(lo_.w_pr, rows, h, im, st.f.f32().data(), p.f32().data());
+    MpAllReduce(p.f32().data(), rows * h);
+    K::AddBiasRows(p.f32().data(), w.Vec(lo_.b_pr), rows, h);
+    const float* pv = p.f32().data();
+    const float* xm = st.x_mid.f32().data();
+    for (std::int64_t i = 0; i < rows * h; ++i) x_out[i] = xm[i] + pv[i];
+  }
+}
+
+void GptModel::CausalAttention(Tensor qkv, std::int64_t bs,
+                               LayerStash& st) const {
+  namespace K = tensor;
+  const std::int64_t hm = config_.hidden / mp_size();
   const std::int64_t lh = LocalHeads();
-  const std::int64_t hd = h / config_.heads;
+  const std::int64_t hd = config_.hidden / config_.heads;
   const std::int64_t b_count = bs / config_.seq;
   const std::int64_t s_count = config_.seq;
 
-  st.ln1_mean = NewAct({bs});
-  st.ln1_rstd = NewAct({bs});
-  st.a = NewAct({bs, h});
-  K::LayerNormForward(x_in, up.data() + lo_.ln1_g, up.data() + lo_.ln1_b,
-                      st.a.f32().data(), st.ln1_mean.f32().data(),
-                      st.ln1_rstd.f32().data(), bs, h, config_.ln_eps);
-
-  // qkv projection (column-parallel), then split per local head.
-  {
-    Tensor qkv = NewAct({bs, 3 * hm});
-    K::Gemm(false, true, bs, 3 * hm, h, 1.0f, st.a.f32().data(),
-            up.data() + lo_.w_qkv, 0.0f, qkv.f32().data());
-    K::AddBiasRows(qkv.f32().data(), up.data() + lo_.b_qkv, bs, 3 * hm);
-    st.q = NewAct({b_count * lh, s_count, hd});
-    st.k = NewAct({b_count * lh, s_count, hd});
-    st.v = NewAct({b_count * lh, s_count, hd});
-    SplitHeads(qkv.f32().data(), 3 * hm, 0, st.q.f32().data(), b_count,
-               s_count, lh, hd);
-    SplitHeads(qkv.f32().data(), 3 * hm, hm, st.k.f32().data(), b_count,
-               s_count, lh, hd);
-    SplitHeads(qkv.f32().data(), 3 * hm, 2 * hm, st.v.f32().data(), b_count,
-               s_count, lh, hd);
-  }
+  st.q = NewAct({b_count * lh, s_count, hd});
+  st.k = NewAct({b_count * lh, s_count, hd});
+  st.v = NewAct({b_count * lh, s_count, hd});
+  SplitHeads(qkv.f32().data(), 3 * hm, 0, st.q.f32().data(), b_count,
+             s_count, lh, hd);
+  SplitHeads(qkv.f32().data(), 3 * hm, hm, st.k.f32().data(), b_count,
+             s_count, lh, hd);
+  SplitHeads(qkv.f32().data(), 3 * hm, 2 * hm, st.v.f32().data(), b_count,
+             s_count, lh, hd);
+  qkv = Tensor();  // freed before the [S, S] probabilities are allocated
 
   // Scaled dot-product attention with causal mask, per (batch, head).
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
@@ -312,63 +432,76 @@ void GptModel::BlockForward(std::span<const float> up, const float* x_in,
   }
 
   st.ctx = NewAct({bs, hm});
-  {
-    Tensor ctx_heads = NewAct({b_count * lh, s_count, hd});
-    for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-      K::Gemm(false, false, s_count, hd, s_count, 1.0f,
-              st.att.f32().data() + bh * s_count * s_count,
-              st.v.f32().data() + bh * s_count * hd, 0.0f,
-              ctx_heads.f32().data() + bh * s_count * hd);
+  Tensor ctx_heads = NewAct({b_count * lh, s_count, hd});
+  for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
+    K::Gemm(false, false, s_count, hd, s_count, 1.0f,
+            st.att.f32().data() + bh * s_count * s_count,
+            st.v.f32().data() + bh * s_count * hd, 0.0f,
+            ctx_heads.f32().data() + bh * s_count * hd);
+  }
+  MergeHeads(ctx_heads.f32().data(), st.ctx.f32().data(), hm, 0, b_count,
+             s_count, lh, hd);
+}
+
+void GptModel::CachedAttention(Tensor qkv, const DecodeStep& d,
+                               LayerStash& st) const {
+  namespace K = tensor;
+  const std::int64_t n = static_cast<std::int64_t>(d.tokens.size());
+  const std::int64_t hm = config_.hidden / mp_size();
+  const std::int64_t lh = LocalHeads();
+  const std::int64_t hd = config_.hidden / config_.heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+
+  // Append this step's K/V rows to the cache before attending, so
+  // tokens later in a prefill chunk see earlier ones.
+  const float* qkvp = qkv.f32().data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const DecodeToken& t = d.tokens[static_cast<std::size_t>(i)];
+    CopyFloats(d.kv->KRow(t.slot, d.layer, t.pos), qkvp + i * 3 * hm + hm, hm);
+    CopyFloats(d.kv->VRow(t.slot, d.layer, t.pos), qkvp + i * 3 * hm + 2 * hm,
+               hm);
+  }
+
+  // Causal attention of each group's queries against its cached prefix,
+  // per local head. Q and the cached K/V prefix are packed contiguous and
+  // run through K::Gemm like CausalAttention. The context GEMM reduces
+  // over k_len cached positions where the full forward reduces over seq
+  // with +0 weights past the causal edge; the GEMM contract makes those
+  // trailing terms exact no-ops, so decode matches eval bitwise.
+  st.ctx = NewAct({n, hm});
+  float* ctxp = st.ctx.f32().data();
+  std::vector<float> q_pack, k_pack, v_pack, scores, ctx_head;
+  for (const DecodeStep::Group& g : d.groups) {
+    const std::int64_t q_len = g.end - g.begin;
+    const std::int64_t k_len =
+        d.tokens[static_cast<std::size_t>(g.end - 1)].pos + 1;
+    const std::int32_t slot = d.tokens[static_cast<std::size_t>(g.begin)].slot;
+    q_pack.resize(static_cast<std::size_t>(q_len * hd));
+    k_pack.resize(static_cast<std::size_t>(k_len * hd));
+    v_pack.resize(static_cast<std::size_t>(k_len * hd));
+    scores.resize(static_cast<std::size_t>(q_len * k_len));
+    ctx_head.resize(static_cast<std::size_t>(q_len * hd));
+    for (std::int64_t head = 0; head < lh; ++head) {
+      for (std::int64_t qi = 0; qi < q_len; ++qi) {
+        CopyFloats(q_pack.data() + qi * hd,
+                   qkvp + (g.begin + qi) * 3 * hm + head * hd, hd);
+      }
+      for (std::int64_t j = 0; j < k_len; ++j) {
+        CopyFloats(k_pack.data() + j * hd,
+                   d.kv->KRow(slot, d.layer, j) + head * hd, hd);
+        CopyFloats(v_pack.data() + j * hd,
+                   d.kv->VRow(slot, d.layer, j) + head * hd, hd);
+      }
+      K::Gemm(false, true, q_len, k_len, hd, scale, q_pack.data(),
+              k_pack.data(), 0.0f, scores.data());
+      K::CausalMaskedSoftmax(scores.data(), 1, q_len, k_len);
+      K::Gemm(false, false, q_len, hd, k_len, 1.0f, scores.data(),
+              v_pack.data(), 0.0f, ctx_head.data());
+      for (std::int64_t qi = 0; qi < q_len; ++qi) {
+        CopyFloats(ctxp + (g.begin + qi) * hm + head * hd,
+                   ctx_head.data() + qi * hd, hd);
+      }
     }
-    MergeHeads(ctx_heads.f32().data(), st.ctx.f32().data(), hm, 0, b_count,
-               s_count, lh, hd);
-  }
-
-  // Attention output projection (row-parallel): partial matmul, then
-  // MP all-reduce #1, then the replicated bias.
-  st.x_mid = NewAct({bs, h});
-  {
-    Tensor o = NewAct({bs, h});
-    K::Gemm(false, true, bs, h, hm, 1.0f, st.ctx.f32().data(),
-            up.data() + lo_.w_o, 0.0f, o.f32().data());
-    MpAllReduce(o.f32().data(), bs * h);
-    K::AddBiasRows(o.f32().data(), up.data() + lo_.b_o, bs, h);
-    const float* ov = o.f32().data();
-    float* xm = st.x_mid.f32().data();
-    for (std::int64_t i = 0; i < bs * h; ++i) xm[i] = x_in[i] + ov[i];
-  }
-
-  st.ln2_mean = NewAct({bs});
-  st.ln2_rstd = NewAct({bs});
-  st.b2 = NewAct({bs, h});
-  K::LayerNormForward(st.x_mid.f32().data(), up.data() + lo_.ln2_g,
-                      up.data() + lo_.ln2_b, st.b2.f32().data(),
-                      st.ln2_mean.f32().data(), st.ln2_rstd.f32().data(), bs,
-                      h, config_.ln_eps);
-
-  st.h1 = NewAct({bs, im});
-  K::Gemm(false, true, bs, im, h, 1.0f, st.b2.f32().data(),
-          up.data() + lo_.w_fc, 0.0f, st.h1.f32().data());
-
-  // Fused epilogue: st.h1 becomes z = fc_out + bias (stashed for
-  // backward), st.f the activation.
-  st.f = NewAct({bs, im});
-  {
-    TRACE_SPAN("model/gelu");
-    K::BiasGeluForward(st.h1.f32().data(), up.data() + lo_.b_fc,
-                       st.h1.f32().data(), st.f.f32().data(), bs, im);
-  }
-
-  // MLP output projection (row-parallel): MP all-reduce #2.
-  {
-    Tensor p = NewAct({bs, h});
-    K::Gemm(false, true, bs, h, im, 1.0f, st.f.f32().data(),
-            up.data() + lo_.w_pr, 0.0f, p.f32().data());
-    MpAllReduce(p.f32().data(), bs * h);
-    K::AddBiasRows(p.f32().data(), up.data() + lo_.b_pr, bs, h);
-    const float* pv = p.f32().data();
-    const float* xm = st.x_mid.f32().data();
-    for (std::int64_t i = 0; i < bs * h; ++i) x_out[i] = xm[i] + pv[i];
   }
 }
 
@@ -511,75 +644,91 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
   }
 }
 
-float GptModel::EvalForwardLogits(const Batch& batch, ParamProvider& params,
-                                  std::span<float> logits_out) {
+float GptModel::SequenceForward(const Batch& batch, ParamProvider& params,
+                                std::span<float> logits_out,
+                                ForwardStash* keep) const {
   namespace K = tensor;
-  const std::int64_t b_count = batch.rows;
   const std::int64_t s_count = batch.cols;
   ZERO_CHECK(s_count == config_.seq, "batch seq length must match config");
-  const std::int64_t bs = b_count * s_count;
+  const std::int64_t bs = batch.rows * s_count;
   const std::int64_t h = config_.hidden;
   const std::int64_t v = config_.vocab;
   const int layers = static_cast<int>(config_.layers);
   ZERO_CHECK(batch.inputs.size() == static_cast<std::size_t>(bs),
              "batch token count mismatch");
-  ZERO_CHECK(logits_out.size() >= static_cast<std::size_t>(bs * v),
-             "logits buffer too small");
+  ForwardStash local;
+  ForwardStash& fw = keep != nullptr ? *keep : local;
 
-  Tensor x = NewAct({bs, h});
+  // ---- embedding ----
+  fw.x = NewAct({bs, h});
   {
-    std::span<const float> u0 = params.AcquireUnit(0, Phase::kForward);
-    const float* wte = u0.data() + off_wte_;
-    const float* wpe = u0.data() + off_wpe_;
-    float* xp = x.f32().data();
+    std::vector<std::int64_t> pos(static_cast<std::size_t>(bs));
     for (std::int64_t i = 0; i < bs; ++i) {
-      const std::int64_t id = batch.inputs[static_cast<std::size_t>(i)];
-      ZERO_CHECK(id >= 0 && id < v, "token id out of range");
-      const std::int64_t pos = i % s_count;
-      const float* te = wte + id * h;
-      const float* pe = wpe + pos * h;
-      float* row = xp + i * h;
-      for (std::int64_t c = 0; c < h; ++c) row[c] = te[c] + pe[c];
+      pos[static_cast<std::size_t>(i)] = i % s_count;
     }
+    Embed(UnitWeights(params.AcquireUnit(0, Phase::kForward)), batch.inputs,
+          pos, fw.x.f32().data());
     params.ReleaseUnit(0, Phase::kForward);
   }
 
-  LayerStash st;
+  // ---- blocks ----
+  fw.layers.resize(static_cast<std::size_t>(layers));
   for (int l = 0; l < layers; ++l) {
-    std::span<const float> up = params.AcquireUnit(l + 1, Phase::kForward);
+    LayerStash& st = fw.layers[static_cast<std::size_t>(l)];
+    const UnitWeights w(params.AcquireUnit(l + 1, Phase::kForward));
     Tensor x_next = NewAct({bs, h});
-    BlockForward(up, x.f32().data(), x_next.f32().data(), bs, st);
+    BlockForward(w, fw.x.f32().data(), x_next.f32().data(), bs, st, nullptr);
     params.ReleaseUnit(l + 1, Phase::kForward);
-    st.DropAll();
-    x = std::move(x_next);
+    if (keep == nullptr) {
+      st.DropAll();
+    } else if (config_.activation_checkpointing) {
+      st.ckpt_handle = session_.checkpoints->Save(l, fw.x.f32());
+      st.DropAll();  // recomputed during backward
+    } else {
+      st.x_in = std::move(fw.x);
+    }
+    fw.x = std::move(x_next);
   }
 
+  // ---- final norm + tied-embedding logits ----
   const int unit_f = layers + 1;
-  Tensor lnf_mean = NewAct({bs});
-  Tensor lnf_rstd = NewAct({bs});
-  Tensor y = NewAct({bs, h});
+  fw.lnf_mean = NewAct({bs});
+  fw.lnf_rstd = NewAct({bs});
+  fw.y = NewAct({bs, h});
   {
-    std::span<const float> uf = params.AcquireUnit(unit_f, Phase::kForward);
-    K::LayerNormForward(x.f32().data(), uf.data() + off_lnf_g_,
-                        uf.data() + off_lnf_b_, y.f32().data(),
-                        lnf_mean.f32().data(), lnf_rstd.f32().data(), bs, h,
-                        config_.ln_eps);
+    const UnitWeights uf(params.AcquireUnit(unit_f, Phase::kForward));
+    K::LayerNormForward(fw.x.f32().data(), uf.Vec(off_lnf_g_),
+                        uf.Vec(off_lnf_b_), fw.y.f32().data(),
+                        fw.lnf_mean.f32().data(), fw.lnf_rstd.f32().data(),
+                        bs, h, config_.ln_eps);
     params.ReleaseUnit(unit_f, Phase::kForward);
   }
 
+  // Step keeps the loss gradient, not the logits.
+  if (keep != nullptr) fw.dlogits = NewAct({bs, v});
   float loss = 0.0f;
   {
-    std::span<const float> u0 = params.AcquireUnit(0, Phase::kForward);
-    K::Gemm(false, true, bs, v, h, 1.0f, y.f32().data(),
-            u0.data() + off_wte_, 0.0f, logits_out.data());
+    const UnitWeights u0(params.AcquireUnit(0, Phase::kForward));
+    Tensor logits_tmp = keep != nullptr ? NewAct({bs, v}) : Tensor();
+    float* logits =
+        keep != nullptr ? logits_tmp.f32().data() : logits_out.data();
+    u0.GemmT(off_wte_, bs, v, h, fw.y.f32().data(), logits);
     if (batch.targets.size() == static_cast<std::size_t>(bs)) {
-      Tensor dlogits = NewAct({bs, v});
-      loss = K::CrossEntropyLoss(logits_out.data(), batch.targets.data(), bs,
-                                 v, dlogits.f32().data());
+      loss = K::CrossEntropyLoss(
+          logits, batch.targets.data(), bs, v,
+          keep != nullptr ? fw.dlogits.f32().data() : nullptr);
     }
     params.ReleaseUnit(0, Phase::kForward);
   }
   return loss;
+}
+
+float GptModel::EvalForwardLogits(const Batch& batch, ParamProvider& params,
+                                  std::span<float> logits_out) {
+  ZERO_CHECK(logits_out.size() >= static_cast<std::size_t>(
+                                      batch.rows * batch.cols * config_.vocab),
+             "logits buffer too small");
+  return SequenceForward(batch, params, logits_out, nullptr);
 }
 
 int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
@@ -590,222 +739,72 @@ int GptModel::DecodeForward(std::span<const DecodeToken> tokens,
   ZERO_CHECK(n > 0, "empty decode step");
   const std::int64_t h = config_.hidden;
   const std::int64_t v = config_.vocab;
-  const std::int64_t hm = h / mp_size();
-  const std::int64_t im = config_.inner() / mp_size();
-  const std::int64_t lh = LocalHeads();
-  const std::int64_t hd = h / config_.heads;
   const int layers = static_cast<int>(config_.layers);
 
   // Group boundaries: contiguous runs of one slot, consecutive positions.
-  struct Group {
-    std::int64_t begin, end;
-  };
-  std::vector<Group> groups;
+  DecodeStep step;
+  step.tokens = tokens;
+  step.kv = &kv;
+  std::vector<std::int32_t> ids(static_cast<std::size_t>(n));
+  std::vector<std::int64_t> pos(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
-    ZERO_CHECK(tokens[static_cast<std::size_t>(i)].pos >= 0 &&
-                   tokens[static_cast<std::size_t>(i)].pos < config_.seq,
+    const DecodeToken& t = tokens[static_cast<std::size_t>(i)];
+    ZERO_CHECK(t.pos >= 0 && t.pos < config_.seq,
                "decode position out of range");
-    if (i == 0 ||
-        tokens[static_cast<std::size_t>(i)].slot !=
-            tokens[static_cast<std::size_t>(i - 1)].slot) {
-      groups.push_back({i, i + 1});
+    ids[static_cast<std::size_t>(i)] = t.token;
+    pos[static_cast<std::size_t>(i)] = t.pos;
+    const DecodeToken* prev =
+        i > 0 ? &tokens[static_cast<std::size_t>(i - 1)] : nullptr;
+    if (prev == nullptr || t.slot != prev->slot) {
+      step.groups.push_back({i, i + 1});
     } else {
-      ZERO_CHECK(tokens[static_cast<std::size_t>(i)].pos ==
-                     tokens[static_cast<std::size_t>(i - 1)].pos + 1,
+      ZERO_CHECK(t.pos == prev->pos + 1,
                  "group positions must be consecutive");
-      groups.back().end = i + 1;
+      step.groups.back().end = i + 1;
     }
   }
-  ZERO_CHECK(logits_out.size() >=
-                 groups.size() * static_cast<std::size_t>(v),
+  const std::int64_t n_groups = static_cast<std::int64_t>(step.groups.size());
+  ZERO_CHECK(logits_out.size() >= static_cast<std::size_t>(n_groups * v),
              "logits buffer too small");
 
-  // ---- embedding ----
   Tensor x = NewAct({n, h});
-  {
-    const float* wpe = weights.Vec(0, off_wpe_);
-    std::vector<float> te(static_cast<std::size_t>(h));
-    float* xp = x.f32().data();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const DecodeToken& t = tokens[static_cast<std::size_t>(i)];
-      ZERO_CHECK(t.token >= 0 && t.token < v, "token id out of range");
-      weights.DecodeRow(0, off_wte_, t.token, h, te.data());
-      const float* pe = wpe + t.pos * h;
-      float* row = xp + i * h;
-      for (std::int64_t c = 0; c < h; ++c) row[c] = te[c] + pe[c];
-    }
-  }
+  Embed(UnitWeights(weights, 0), ids, pos, x.f32().data());
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  // Per-(group, head) scratch, packed contiguous so attention runs
-  // through the same Gemm kernel as BlockForward (see the bit-exactness
-  // note below).
-  std::vector<float> q_pack, k_pack, v_pack, scores, att_pad, ctx_head;
-
+  LayerStash st;
   for (int l = 0; l < layers; ++l) {
-    const int unit = l + 1;
-
-    Tensor ln1_mean = NewAct({n});
-    Tensor ln1_rstd = NewAct({n});
-    Tensor a = NewAct({n, h});
-    K::LayerNormForward(x.f32().data(), weights.Vec(unit, lo_.ln1_g),
-                        weights.Vec(unit, lo_.ln1_b), a.f32().data(),
-                        ln1_mean.f32().data(), ln1_rstd.f32().data(), n, h,
-                        config_.ln_eps);
-
-    Tensor qkv = NewAct({n, 3 * hm});
-    weights.GemmWeightT(unit, lo_.w_qkv, n, 3 * hm, h, 1.0f, a.f32().data(),
-                        0.0f, qkv.f32().data());
-    K::AddBiasRows(qkv.f32().data(), weights.Vec(unit, lo_.b_qkv), n, 3 * hm);
-
-    // Append this step's K/V rows to the cache before attending, so
-    // tokens later in a prefill chunk see earlier ones.
-    const float* qkvp = qkv.f32().data();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const DecodeToken& t = tokens[static_cast<std::size_t>(i)];
-      std::memcpy(kv.KRow(t.slot, l, t.pos), qkvp + i * 3 * hm + hm,
-                  static_cast<std::size_t>(hm) * sizeof(float));
-      std::memcpy(kv.VRow(t.slot, l, t.pos), qkvp + i * 3 * hm + 2 * hm,
-                  static_cast<std::size_t>(hm) * sizeof(float));
-    }
-
-    // Paged causal attention against the cached prefix. Q and the
-    // cached K/V prefix are packed contiguous per (group, head) and fed
-    // through K::Gemm — the same compiled kernel BlockForward's
-    // attention uses. The context GEMM is zero-padded out to k = seq so
-    // its reduction length matches the full forward exactly: with
-    // -ffp-contract the kernel's unrolled body and remainder path can
-    // round mul+add differently, so the same values summed over k_len
-    // versus seq terms may differ in the last bit. Padded terms multiply
-    // a +0 attention weight and leave the accumulator bitwise unchanged,
-    // which keeps decode logits bit-exact vs the full forward.
-    const std::int64_t s_full = config_.seq;
-    Tensor ctx = NewAct({n, hm});
-    float* ctxp = ctx.f32().data();
-    for (const Group& g : groups) {
-      const std::int64_t q_len = g.end - g.begin;
-      const DecodeToken& first = tokens[static_cast<std::size_t>(g.begin)];
-      const std::int64_t k_len =
-          tokens[static_cast<std::size_t>(g.end - 1)].pos + 1;
-      const std::int32_t slot = first.slot;
-      for (std::int64_t head = 0; head < lh; ++head) {
-        q_pack.resize(static_cast<std::size_t>(q_len * hd));
-        k_pack.resize(static_cast<std::size_t>(k_len * hd));
-        v_pack.assign(static_cast<std::size_t>(s_full * hd), 0.0f);
-        for (std::int64_t qi = 0; qi < q_len; ++qi) {
-          std::memcpy(q_pack.data() + qi * hd,
-                      qkvp + (g.begin + qi) * 3 * hm + head * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-        }
-        for (std::int64_t j = 0; j < k_len; ++j) {
-          std::memcpy(k_pack.data() + j * hd,
-                      kv.KRow(slot, l, j) + head * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-          std::memcpy(v_pack.data() + j * hd,
-                      kv.VRow(slot, l, j) + head * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-        }
-        // Scores reduce over hd (a fixed length), so no padding needed.
-        scores.resize(static_cast<std::size_t>(q_len * k_len));
-        K::Gemm(false, true, q_len, k_len, hd, scale, q_pack.data(),
-                k_pack.data(), 0.0f, scores.data());
-        K::CausalMaskedSoftmax(scores.data(), 1, q_len, k_len);
-        att_pad.assign(static_cast<std::size_t>(q_len * s_full), 0.0f);
-        for (std::int64_t qi = 0; qi < q_len; ++qi) {
-          std::memcpy(att_pad.data() + qi * s_full,
-                      scores.data() + qi * k_len,
-                      static_cast<std::size_t>(k_len) * sizeof(float));
-        }
-        ctx_head.resize(static_cast<std::size_t>(q_len * hd));
-        K::Gemm(false, false, q_len, hd, s_full, 1.0f, att_pad.data(),
-                v_pack.data(), 0.0f, ctx_head.data());
-        for (std::int64_t qi = 0; qi < q_len; ++qi) {
-          std::memcpy(ctxp + (g.begin + qi) * hm + head * hd,
-                      ctx_head.data() + qi * hd,
-                      static_cast<std::size_t>(hd) * sizeof(float));
-        }
-      }
-    }
-
-    // Attention output projection (row-parallel) + MP all-reduce #1.
-    Tensor x_mid = NewAct({n, h});
-    {
-      Tensor o = NewAct({n, h});
-      weights.GemmWeightT(unit, lo_.w_o, n, h, hm, 1.0f, ctxp, 0.0f,
-                          o.f32().data());
-      MpAllReduce(o.f32().data(), n * h);
-      K::AddBiasRows(o.f32().data(), weights.Vec(unit, lo_.b_o), n, h);
-      const float* ov = o.f32().data();
-      const float* xp = x.f32().data();
-      float* xm = x_mid.f32().data();
-      for (std::int64_t i = 0; i < n * h; ++i) xm[i] = xp[i] + ov[i];
-    }
-
-    Tensor ln2_mean = NewAct({n});
-    Tensor ln2_rstd = NewAct({n});
-    Tensor b2 = NewAct({n, h});
-    K::LayerNormForward(x_mid.f32().data(), weights.Vec(unit, lo_.ln2_g),
-                        weights.Vec(unit, lo_.ln2_b), b2.f32().data(),
-                        ln2_mean.f32().data(), ln2_rstd.f32().data(), n, h,
-                        config_.ln_eps);
-
-    Tensor h1 = NewAct({n, im});
-    weights.GemmWeightT(unit, lo_.w_fc, n, im, h, 1.0f, b2.f32().data(), 0.0f,
-                        h1.f32().data());
-    Tensor f = NewAct({n, im});
-    K::BiasGeluForward(h1.f32().data(), weights.Vec(unit, lo_.b_fc),
-                       h1.f32().data(), f.f32().data(), n, im);
-
-    // MLP output projection (row-parallel) + MP all-reduce #2.
+    step.layer = l;
     Tensor x_next = NewAct({n, h});
-    {
-      Tensor p = NewAct({n, h});
-      weights.GemmWeightT(unit, lo_.w_pr, n, h, im, 1.0f, f.f32().data(), 0.0f,
-                          p.f32().data());
-      MpAllReduce(p.f32().data(), n * h);
-      K::AddBiasRows(p.f32().data(), weights.Vec(unit, lo_.b_pr), n, h);
-      const float* pv = p.f32().data();
-      const float* xm = x_mid.f32().data();
-      float* xo = x_next.f32().data();
-      for (std::int64_t i = 0; i < n * h; ++i) xo[i] = xm[i] + pv[i];
-    }
+    BlockForward(UnitWeights(weights, l + 1), x.f32().data(),
+                 x_next.f32().data(), n, st, &step);
+    st.DropAll();
     x = std::move(x_next);
   }
 
   // ---- final norm + logits for each group's last row ----
-  const std::int64_t n_groups = static_cast<std::int64_t>(groups.size());
   Tensor last = NewAct({n_groups, h});
-  {
-    float* lp = last.f32().data();
-    const float* xp = x.f32().data();
-    for (std::int64_t g = 0; g < n_groups; ++g) {
-      std::memcpy(lp + g * h,
-                  xp + (groups[static_cast<std::size_t>(g)].end - 1) * h,
-                  static_cast<std::size_t>(h) * sizeof(float));
-    }
+  for (std::int64_t g = 0; g < n_groups; ++g) {
+    CopyFloats(last.f32().data() + g * h,
+               x.f32().data() +
+                   (step.groups[static_cast<std::size_t>(g)].end - 1) * h,
+               h);
   }
-  const int unit_f = layers + 1;
+  const UnitWeights uf(weights, layers + 1);
   Tensor lnf_mean = NewAct({n_groups});
   Tensor lnf_rstd = NewAct({n_groups});
   Tensor y = NewAct({n_groups, h});
-  {
-    K::LayerNormForward(last.f32().data(), weights.Vec(unit_f, off_lnf_g_),
-                        weights.Vec(unit_f, off_lnf_b_), y.f32().data(),
-                        lnf_mean.f32().data(), lnf_rstd.f32().data(),
-                        n_groups, h, config_.ln_eps);
-  }
-  weights.GemmWeightT(0, off_wte_, n_groups, v, h, 1.0f, y.f32().data(), 0.0f,
-                      logits_out.data());
+  K::LayerNormForward(last.f32().data(), uf.Vec(off_lnf_g_),
+                      uf.Vec(off_lnf_b_), y.f32().data(),
+                      lnf_mean.f32().data(), lnf_rstd.f32().data(), n_groups,
+                      h, config_.ln_eps);
+  UnitWeights(weights, 0).GemmT(off_wte_, n_groups, v, h, y.f32().data(),
+                                logits_out.data());
   return static_cast<int>(n_groups);
 }
 
 std::int64_t GptModel::FullParamNumel(const GptConfig& c) {
-  const std::int64_t h = c.hidden;
-  const std::int64_t i = c.inner();
-  const std::int64_t block =
-      2 * h + (3 * h * h + 3 * h) + (h * h + h) + 2 * h + (i * h + i) +
-      (h * i + h);
-  return (c.vocab + c.seq) * h + c.layers * block + 2 * h;
+  GptConfig full = c;
+  full.activation_checkpointing = false;  // layout only, no session
+  return GptModel(full, {}).layout().total_numel();
 }
 
 void GptModel::ImportFullParams(std::span<const float> full,
@@ -815,50 +814,39 @@ void GptModel::ImportFullParams(std::span<const float> full,
   const std::int64_t hm = h / mp_size();
   const std::int64_t im = i_total / mp_size();
   const std::int64_t r = mp_rank();
-  ZERO_CHECK(full.size() ==
-                 static_cast<std::size_t>(FullParamNumel(config_)),
-             "full parameter vector size mismatch");
+  // The mp=1 model's layout gives the full vector's offsets.
+  GptConfig full_config = config_;
+  full_config.activation_checkpointing = false;
+  const GptModel ref(full_config, {});
+  const LayerOffsets& fo = ref.lo_;
+  ZERO_CHECK(
+      full.size() == static_cast<std::size_t>(ref.layout_.total_numel()),
+      "full parameter vector size mismatch");
   ZERO_CHECK(local.size() == static_cast<std::size_t>(layout_.total_numel()),
              "local parameter vector size mismatch");
 
-  // Full (mp=1) layout offsets, mirroring the constructor's Add order.
-  struct FullOffsets {
-    std::int64_t ln1_g, ln1_b, w_qkv, b_qkv, w_o, b_o;
-    std::int64_t ln2_g, ln2_b, w_fc, b_fc, w_pr, b_pr, block;
-  } fo;
-  fo.ln1_g = 0;
-  fo.ln1_b = fo.ln1_g + h;
-  fo.w_qkv = fo.ln1_b + h;
-  fo.b_qkv = fo.w_qkv + 3 * h * h;
-  fo.w_o = fo.b_qkv + 3 * h;
-  fo.b_o = fo.w_o + h * h;
-  fo.ln2_g = fo.b_o + h;
-  fo.ln2_b = fo.ln2_g + h;
-  fo.w_fc = fo.ln2_b + h;
-  fo.b_fc = fo.w_fc + i_total * h;
-  fo.w_pr = fo.b_fc + i_total;
-  fo.b_pr = fo.w_pr + h * i_total;
-  fo.block = fo.b_pr + h;
-
+  auto unit_span = [](const ParamLayout& layout, auto flat, int u) {
+    auto [b, e] = layout.UnitRange(u);
+    return flat.subspan(static_cast<std::size_t>(b),
+                        static_cast<std::size_t>(e - b));
+  };
   auto copy = [](std::span<float> dst, std::int64_t dst_off,
                  std::span<const float> src, std::int64_t src_off,
                  std::int64_t count) {
-    std::memcpy(dst.data() + dst_off, src.data() + src_off,
-                static_cast<std::size_t>(count) * sizeof(float));
+    CopyFloats(dst.data() + dst_off, src.data() + src_off, count);
   };
 
-  // Unit 0 (embeddings) is replicated: identical layout, straight copy.
-  copy(local, 0, full, 0, (config_.vocab + config_.seq) * h);
+  // Embeddings and the final norm are replicated: straight copies.
+  const int layers = static_cast<int>(config_.layers);
+  for (int u : {0, layers + 1}) {
+    std::span<float> lu = unit_span(layout_, local, u);
+    copy(lu, 0, unit_span(ref.layout_, full, u), 0,
+         static_cast<std::int64_t>(lu.size()));
+  }
 
-  const std::int64_t full_blocks_base = (config_.vocab + config_.seq) * h;
-  for (std::int64_t l = 0; l < config_.layers; ++l) {
-    auto [ub, ue] = layout_.UnitRange(static_cast<int>(l) + 1);
-    std::span<float> lu = local.subspan(static_cast<std::size_t>(ub),
-                                        static_cast<std::size_t>(ue - ub));
-    std::span<const float> fu = full.subspan(
-        static_cast<std::size_t>(full_blocks_base + l * fo.block),
-        static_cast<std::size_t>(fo.block));
-
+  for (int l = 0; l < layers; ++l) {
+    std::span<float> lu = unit_span(layout_, local, l + 1);
+    std::span<const float> fu = unit_span(ref.layout_, full, l + 1);
     copy(lu, lo_.ln1_g, fu, fo.ln1_g, h);
     copy(lu, lo_.ln1_b, fu, fo.ln1_b, h);
     // Column-parallel qkv: local q/k/v segments are global row slices
@@ -884,87 +872,21 @@ void GptModel::ImportFullParams(std::span<const float> full,
     }
     copy(lu, lo_.b_pr, fu, fo.b_pr, h);
   }
-
-  auto [fb, fe] = layout_.UnitRange(static_cast<int>(config_.layers) + 1);
-  copy(local, fb, full, full_blocks_base + config_.layers * fo.block,
-       fe - fb);
 }
 
 float GptModel::Step(const Batch& batch, ParamProvider& params,
                      GradSink& grads) {
   namespace K = tensor;
-  const std::int64_t b_count = batch.rows;
+  ZERO_CHECK(batch.targets.size() == batch.inputs.size(),
+             "batch token count mismatch");
+  ForwardStash fw;
+  const float loss = SequenceForward(batch, params, {}, &fw);
   const std::int64_t s_count = batch.cols;
-  ZERO_CHECK(s_count == config_.seq, "batch seq length must match config");
-  const std::int64_t bs = b_count * s_count;
+  const std::int64_t bs = batch.rows * s_count;
   const std::int64_t h = config_.hidden;
   const std::int64_t v = config_.vocab;
   const int layers = static_cast<int>(config_.layers);
-  ZERO_CHECK(batch.inputs.size() == static_cast<std::size_t>(bs) &&
-                 batch.targets.size() == static_cast<std::size_t>(bs),
-             "batch token count mismatch");
-
-  // ---- forward: embedding ----
-  Tensor x = NewAct({bs, h});
-  {
-    std::span<const float> u0 = params.AcquireUnit(0, Phase::kForward);
-    const float* wte = u0.data() + off_wte_;
-    const float* wpe = u0.data() + off_wpe_;
-    float* xp = x.f32().data();
-    for (std::int64_t i = 0; i < bs; ++i) {
-      const std::int64_t id = batch.inputs[static_cast<std::size_t>(i)];
-      ZERO_CHECK(id >= 0 && id < v, "token id out of range");
-      const std::int64_t pos = i % s_count;
-      const float* te = wte + id * h;
-      const float* pe = wpe + pos * h;
-      float* row = xp + i * h;
-      for (std::int64_t c = 0; c < h; ++c) row[c] = te[c] + pe[c];
-    }
-    params.ReleaseUnit(0, Phase::kForward);
-  }
-
-  // ---- forward: blocks ----
-  std::vector<LayerStash> stashes(static_cast<std::size_t>(layers));
-  for (int l = 0; l < layers; ++l) {
-    LayerStash& st = stashes[static_cast<std::size_t>(l)];
-    std::span<const float> up = params.AcquireUnit(l + 1, Phase::kForward);
-    Tensor x_next = NewAct({bs, h});
-    BlockForward(up, x.f32().data(), x_next.f32().data(), bs, st);
-    params.ReleaseUnit(l + 1, Phase::kForward);
-    if (config_.activation_checkpointing) {
-      st.ckpt_handle = session_.checkpoints->Save(l, x.f32());
-      st.DropAll();  // recomputed during backward
-    } else {
-      st.x_in = std::move(x);
-    }
-    x = std::move(x_next);
-  }
-
-  // ---- forward: final norm + tied-embedding logits ----
   const int unit_f = layers + 1;
-  Tensor lnf_mean = NewAct({bs});
-  Tensor lnf_rstd = NewAct({bs});
-  Tensor y = NewAct({bs, h});
-  {
-    std::span<const float> uf = params.AcquireUnit(unit_f, Phase::kForward);
-    K::LayerNormForward(x.f32().data(), uf.data() + off_lnf_g_,
-                        uf.data() + off_lnf_b_, y.f32().data(),
-                        lnf_mean.f32().data(), lnf_rstd.f32().data(), bs, h,
-                        config_.ln_eps);
-    params.ReleaseUnit(unit_f, Phase::kForward);
-  }
-
-  Tensor dlogits = NewAct({bs, v});
-  float loss = 0.0f;
-  {
-    std::span<const float> u0 = params.AcquireUnit(0, Phase::kForward);
-    Tensor logits = NewAct({bs, v});
-    K::Gemm(false, true, bs, v, h, 1.0f, y.f32().data(),
-            u0.data() + off_wte_, 0.0f, logits.f32().data());
-    loss = K::CrossEntropyLoss(logits.f32().data(), batch.targets.data(), bs,
-                               v, dlogits.f32().data());
-    params.ReleaseUnit(0, Phase::kForward);
-  }
 
   // ---- backward ----
   // Unit-0 gradient accumulates across the whole backward pass (logits
@@ -976,22 +898,22 @@ float GptModel::Step(const Batch& batch, ParamProvider& params,
   Tensor dy = NewAct({bs, h});
   {
     std::span<const float> u0 = params.AcquireUnit(0, Phase::kBackward);
-    K::Gemm(false, false, bs, h, v, 1.0f, dlogits.f32().data(),
+    K::Gemm(false, false, bs, h, v, 1.0f, fw.dlogits.f32().data(),
             u0.data() + off_wte_, 0.0f, dy.f32().data());
-    K::Gemm(true, false, v, h, bs, 1.0f, dlogits.f32().data(),
-            y.f32().data(), 1.0f, g0.data() + off_wte_);
+    K::Gemm(true, false, v, h, bs, 1.0f, fw.dlogits.f32().data(),
+            fw.y.f32().data(), 1.0f, g0.data() + off_wte_);
     params.ReleaseUnit(0, Phase::kBackward);
   }
-  dlogits = Tensor();
-  y = Tensor();
+  fw.dlogits = Tensor();
+  fw.y = Tensor();
 
   Tensor dx = NewAct({bs, h});
   {
     std::span<const float> uf = params.AcquireUnit(unit_f, Phase::kBackward);
     std::vector<float> gf(static_cast<std::size_t>(layout_.UnitNumel(unit_f)),
                           0.0f);
-    K::LayerNormBackward(x.f32().data(), uf.data() + off_lnf_g_,
-                         lnf_mean.f32().data(), lnf_rstd.f32().data(),
+    K::LayerNormBackward(fw.x.f32().data(), uf.data() + off_lnf_g_,
+                         fw.lnf_mean.f32().data(), fw.lnf_rstd.f32().data(),
                          dy.f32().data(), dx.f32().data(),
                          gf.data() + off_lnf_g_, gf.data() + off_lnf_b_, bs,
                          h);
@@ -999,13 +921,13 @@ float GptModel::Step(const Batch& batch, ParamProvider& params,
     grads.EmitUnitGrad(unit_f, gf);
   }
   dy = Tensor();
-  x = Tensor();
-  lnf_mean = Tensor();
-  lnf_rstd = Tensor();
+  fw.x = Tensor();
+  fw.lnf_mean = Tensor();
+  fw.lnf_rstd = Tensor();
 
   std::vector<float> ugrad;
   for (int l = layers - 1; l >= 0; --l) {
-    LayerStash& st = stashes[static_cast<std::size_t>(l)];
+    LayerStash& st = fw.layers[static_cast<std::size_t>(l)];
     std::span<const float> up = params.AcquireUnit(l + 1, Phase::kBackward);
 
     if (config_.activation_checkpointing) {
@@ -1014,7 +936,8 @@ float GptModel::Step(const Batch& batch, ParamProvider& params,
       st.x_in = NewAct({bs, h});
       session_.checkpoints->Load(st.ckpt_handle, st.x_in.f32());
       Tensor x_scratch = NewAct({bs, h});
-      BlockForward(up, st.x_in.f32().data(), x_scratch.f32().data(), bs, st);
+      BlockForward(UnitWeights(up), st.x_in.f32().data(),
+                   x_scratch.f32().data(), bs, st, nullptr);
     }
 
     ugrad.assign(static_cast<std::size_t>(layout_.UnitNumel(l + 1)), 0.0f);

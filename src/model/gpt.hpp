@@ -97,9 +97,9 @@ class GptModel final : public FlatParamModel {
 
   // Forward-only pass over full sequences: fills `logits_out` ([rows*seq,
   // vocab]) and returns the mean cross-entropy loss when targets are
-  // present (0 otherwise). Runs the exact same kernel sequence as Step's
-  // forward half, so its logits are the bitwise reference the serving
-  // regression tests compare incremental decode against.
+  // present (0 otherwise). It is Step's forward half, so its logits are
+  // the bitwise reference the serving regression tests compare
+  // incremental decode against.
   float EvalForwardLogits(const Batch& batch, ParamProvider& params,
                           std::span<float> logits_out);
 
@@ -108,12 +108,13 @@ class GptModel final : public FlatParamModel {
   // over all tokens of a serving step. Appends every token's K/V rows to
   // `kv`, attends against the cached prefix, and writes logits for the
   // *last* token of each sequence group into consecutive rows of
-  // `logits_out` (group order). Returns the number of groups. Attention
-  // uses serial accumulation in cached-key order. With the "fp32"
-  // backend this keeps greedy-decode logits bit-exact vs
-  // EvalForwardLogits whenever the projection GEMMs take
-  // per-element-identical paths; reduced-precision backends stay within
-  // the bounded logit error DESIGN.md §16 documents.
+  // `logits_out` (group order). Returns the number of groups. It runs
+  // the same block body as EvalForwardLogits, and the GEMM contract
+  // (DESIGN.md §9) keeps a row's bits independent of how many rows and
+  // cached positions a call covers, so with the "fp32" backend decode
+  // logits are bit-exact vs EvalForwardLogits at any model size;
+  // reduced-precision backends stay within the bounded logit error
+  // DESIGN.md §16 documents.
   int DecodeForward(std::span<const DecodeToken> tokens,
                     const ServingWeights& weights, KvCache& kv,
                     std::span<float> logits_out);
@@ -163,13 +164,42 @@ class GptModel final : public FlatParamModel {
     void DropAll();
   };
 
+  class UnitWeights;    // fp32 unit span or serving weights (gpt.cpp)
+  struct DecodeStep;    // one packed serving step's tokens and KV cache
+  struct ForwardStash;  // what Step's backward reads from its forward
+
   [[nodiscard]] tensor::Tensor NewAct(tensor::Shape shape) const;
   [[nodiscard]] std::int64_t LocalHeads() const;
 
-  // Forward one block: consumes x_in ([BS, H]), produces x_out, filling
-  // `st`. `unit_params` is the block's local parameter span.
-  void BlockForward(std::span<const float> unit_params, const float* x_in,
-                    float* x_out, std::int64_t bs, LayerStash& st) const;
+  // x[i] = wte[ids[i]] + wpe[pos[i]].
+  void Embed(const UnitWeights& u0, std::span<const std::int32_t> ids,
+             std::span<const std::int64_t> pos, float* x) const;
+
+  // Forward over whole sequences: embedding, blocks, final norm, tied
+  // logits and, when the batch has targets, the loss. With `keep`, the
+  // activations backward needs are kept there and the logits are a
+  // temporary; otherwise the logits go to `logits_out`.
+  float SequenceForward(const Batch& batch, ParamProvider& params,
+                        std::span<float> logits_out,
+                        ForwardStash* keep) const;
+
+  // The one block forward: consumes x_in ([rows, H]), produces x_out,
+  // filling `st`. With `decode` null the rows are whole sequences and
+  // attention is CausalAttention; otherwise the rows are decode->tokens
+  // and attention is CachedAttention.
+  void BlockForward(const UnitWeights& w, const float* x_in, float* x_out,
+                    std::int64_t rows, LayerStash& st,
+                    const DecodeStep* decode) const;
+
+  // Full causal attention per (batch, head) over [bs, 3H/m] qkv rows into
+  // st.ctx, stashing q, k, v and the probabilities for backward.
+  void CausalAttention(tensor::Tensor qkv, std::int64_t bs,
+                       LayerStash& st) const;
+
+  // Appends each token's K/V to the cache, then attends every group's
+  // queries over its cached prefix into st.ctx.
+  void CachedAttention(tensor::Tensor qkv, const DecodeStep& d,
+                       LayerStash& st) const;
 
   // Backward one block given d_out; produces d_in (may alias d_out) and
   // accumulates the block's parameter gradients into `ugrad`.

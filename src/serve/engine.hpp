@@ -3,9 +3,9 @@
 // against a paged KV cache. Checkpoints store the mp=1 (full) parameter
 // layout; an MP-sharded engine re-slices that vector per rank with the
 // Megatron column/row rules (GptModel::ImportFullParams), so every MP
-// degree serves the same global model — and, for configs inside the
-// small-GEMM envelope (DESIGN.md §16), bit-exactly the logits of the
-// same-degree eval forward.
+// degree serves the same global model — and, with fp32 weights,
+// bit-exactly the logits of the same-degree eval forward (DESIGN.md
+// §16).
 #pragma once
 
 #include <cstdint>

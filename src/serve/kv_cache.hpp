@@ -15,8 +15,8 @@
 // hash-keyed index maps the chained hash of each block-aligned token
 // prefix to the block holding its K/V rows. Sharing is sound because
 // K/V rows are a pure function of the token prefix and the weights —
-// bitwise, inside the small-GEMM envelope DESIGN.md §16 describes — so
-// an adopted block is indistinguishable from recomputing prefill.
+// bitwise, by the GEMM row contract DESIGN.md §9 states — so an adopted
+// block is indistinguishable from recomputing prefill.
 // Writers must hold a block exclusively: EnsureAppendable forks any
 // shared block in the write range (whole-block copy) before the model
 // appends to it. The index holds its own reference per published

@@ -58,21 +58,31 @@ inline float OpB(const float* b, bool trans, std::int64_t k, std::int64_t n,
   return trans ? b[j * k + kk] : b[kk * n + j];
 }
 
-// Direct path for small problems: every C element is one serial dot
-// product, row-partitioned. No zero-multiplicand skipping — 0 * Inf
-// must produce NaN for the loss-scaler's overflow detection.
+// Direct path for small problems, row-partitioned. Every C element runs
+// the packed path's per-element chain: alpha folded into A (as PackA
+// does), k split at the same kKc panel boundaries, each panel an explicit
+// std::fma chain from +0 that is then added into C. No zero-multiplicand
+// skipping — 0 * Inf must produce NaN for the loss-scaler's overflow
+// detection.
 void SmallGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, float alpha, const float* a, const float* b,
                float* c) {
   ParallelFor(0, m, RowGrain(n * k), [&](std::int64_t i0, std::int64_t i1) {
+    float arow[kKc];
     for (std::int64_t i = i0; i < i1; ++i) {
       float* ci = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          acc += OpA(a, trans_a, m, k, i, kk) * OpB(b, trans_b, k, n, kk, j);
+      for (std::int64_t pc = 0; pc < k; pc += kKc) {
+        const std::int64_t kc = std::min(kKc, k - pc);
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          arow[kk] = alpha * OpA(a, trans_a, m, k, i, pc + kk);
         }
-        ci[j] += alpha * acc;
+        for (std::int64_t j = 0; j < n; ++j) {
+          float acc = 0.0f;
+          for (std::int64_t kk = 0; kk < kc; ++kk) {
+            acc = std::fma(arow[kk], OpB(b, trans_b, k, n, pc + kk, j), acc);
+          }
+          ci[j] += acc;
+        }
       }
     }
   });
@@ -122,7 +132,8 @@ void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
 // C_tile[mr_e, nr_e] += packed-A panel x packed-B panel. The accumulator
 // tile lives in registers across the whole kc loop; compile-time bounds
 // let the compiler unroll and vectorize the j loop. Padded lanes (r >=
-// mr_e, j >= nr_e) compute garbage that is never written back.
+// mr_e, j >= nr_e) compute garbage that is never written back. The
+// multiply-add is an explicit std::fma, the same chain SmallGemm runs.
 void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
                  std::int64_t ldc, std::int64_t mr_e, std::int64_t nr_e) {
   float acc[kMr][kNr] = {};
@@ -132,7 +143,7 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
     for (std::int64_t r = 0; r < kMr; ++r) {
       const float av = arow[r];
       for (std::int64_t j = 0; j < kNr; ++j) {
-        acc[r][j] += av * brow[j];
+        acc[r][j] = std::fma(av, brow[j], acc[r][j]);
       }
     }
   }
@@ -247,12 +258,10 @@ void ScaleAndDispatch(std::int64_t m, std::int64_t n, std::int64_t k,
 // ---------------------------------------------------------------------------
 // Reduced-precision weight operands W[n, k], used transposed. The small
 // path decodes the (bounded: n * k <= kSmallGemmFlops) weight tile row by
-// row into thread scratch and feeds it to the *same* SmallGemm fp32
-// callers reach, so it is bitwise the decoded-fp32 result by
-// construction. (A reader-based dot product is not equivalent in
-// practice: the compiler contracts the two loop bodies into FMAs
-// differently, and the last-ulp drift would break the §16 envelope the
-// serving tests pin.) The packed path swaps only the B filler.
+// row into thread scratch and feeds it to SmallGemm; the packed path
+// swaps only the B filler. Either way the floats reaching the per-element
+// chain are the decoded weights, so the result is bitwise the
+// decoded-fp32 Gemm.
 template <class DecodeRow, class FillB>
 void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  const float* a, const DecodeRow& decode_row,
@@ -459,10 +468,10 @@ namespace {
 // for relative error on [-ln2/2, ln2/2], and 2^n built in the exponent
 // field (n+127 stays in [1, 254]).
 //
-// Every multiply-add is an explicit std::fma. Under GCC's default
-// -ffp-contract=fast the compiler may otherwise contract differently in
-// a loop's vector body than in its scalar tail, and the decode memcmp
-// contract needs an element's bits independent of its position.
+// Every multiply-add is an explicit std::fma and this library is built
+// with -ffp-contract=off, so the vector body and the scalar tail of a
+// loop compute identical bits: the decode memcmp contract needs an
+// element's bits independent of its position.
 inline float ExpF(float x) {
   constexpr float kLog2e = 1.44269504088896341f;
   constexpr float kLn2Hi = 0.693359375f;  // 9 bits: n * kLn2Hi is exact

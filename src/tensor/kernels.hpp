@@ -30,6 +30,11 @@ namespace zero::tensor {
 // C[m,n] = alpha * op(A)[m,k] * op(B)[k,n] + beta * C[m,n].
 // op(X) = X or X^T according to the trans flags; dimensions m/n/k always
 // refer to the post-op shapes. Row-major storage.
+//
+// Numeric contract (DESIGN.md §9): an element's bits depend only on its
+// row of op(A), its column of op(B), k and alpha — row i of Gemm(m,n,k)
+// is bitwise Gemm(1,n,k) on that row, whichever of the small and packed
+// paths each call takes — and trailing zero terms in k are exact no-ops.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c);

@@ -61,25 +61,6 @@ TEST_P(CollectivesTest, AllReduceVolumeIsTwoPsi) {
   });
 }
 
-TEST_P(CollectivesTest, AllReduceAvg) {
-  const int p = GetParam();
-  const std::size_t n = 17;
-  std::vector<float> expected(n, 0.0f);
-  for (int r = 0; r < p; ++r) {
-    auto d = RankData(r, n);
-    for (std::size_t i = 0; i < n; ++i) expected[i] += d[i] / p;
-  }
-  World world(p);
-  world.Run([&](RankContext& ctx) {
-    Communicator comm = Communicator::WholeWorld(ctx);
-    auto data = RankData(ctx.rank, n);
-    comm.AllReduce(std::span<float>(data), ReduceOp::kAvg);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(data[i], expected[i], 1e-4f);
-    }
-  });
-}
-
 TEST_P(CollectivesTest, ReduceScatterDeliversOwnReducedChunk) {
   const int p = GetParam();
   const std::size_t chunk = 13;

@@ -105,17 +105,20 @@ TEST(HierarchicalTest, MaxReduction) {
   });
 }
 
-TEST(HierarchicalTest, RejectsAvgAndWrongLeaderPassing) {
+TEST(HierarchicalTest, RejectsWrongLeaderPassing) {
   GridTopology grid(4, 2);
   World world(4);
+  // Roles inverted on every rank: the local-rank-0 members withhold the
+  // leader communicator and everyone else passes one, so each rank
+  // fails the check before any communication starts.
   EXPECT_THROW(
       world.Run([&](RankContext& ctx) {
         Communicator local = grid.MakeMpComm(ctx);
-        std::optional<Communicator> leaders;
-        if (grid.MpRank(ctx.rank) == 0) leaders.emplace(grid.MakeDpComm(ctx));
+        Communicator dp = grid.MakeDpComm(ctx);
         std::vector<float> data{1.0f};
-        HierarchicalAllReduce(local, leaders ? &*leaders : nullptr,
-                              std::span<float>(data), ReduceOp::kAvg);
+        HierarchicalAllReduce(local,
+                              grid.MpRank(ctx.rank) == 0 ? nullptr : &dp,
+                              std::span<float>(data), ReduceOp::kSum);
       }),
       Error);
 }

@@ -60,10 +60,6 @@ T RingFold(const std::vector<std::vector<T>>& x, int c, std::size_t i,
               ? P::Narrow(std::max(P::Widen(own), P::Widen(acc)))
               : P::Narrow(P::Widen(own) + P::Widen(acc));
   }
-  if (op == ReduceOp::kAvg) {
-    acc = P::Narrow(
-        static_cast<typename P::type>(P::Widen(acc) * (1.0 / p)));
-  }
   return acc;
 }
 
@@ -89,8 +85,7 @@ void CheckAllReduceAgainstFold(int p) {
     World world(p);
     world.Run([&](RankContext& ctx) {
       Communicator comm = Communicator::WholeWorld(ctx);
-      for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg,
-                                ReduceOp::kMax}) {
+      for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax}) {
         const auto expected = BitsOf(SerialAllReduce<T>(comm, n, op));
         auto nonblocking = RankValues<T>(ctx.rank, n);
         CollectiveRequest req =
@@ -168,7 +163,7 @@ void CheckReduceScatterAgainstFold(int p) {
     World world(p);
     world.Run([&](RankContext& ctx) {
       Communicator comm = Communicator::WholeWorld(ctx);
-      for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kAvg}) {
+      for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax}) {
         const auto full = SerialAllReduce<T>(comm, n, op);
         const auto [b, e] = comm.ChunkRange(n, ctx.rank);
         const std::vector<T> expected(full.begin() + b, full.begin() + e);

@@ -210,5 +210,25 @@ TEST(HalfLutTest, AnyInfOrNanSeesEveryPosition) {
   }
 }
 
+TEST(HalfLutTest, AnyInfOrNanF32SeesFirstMiddleLast) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> v(301, 1.5f);
+  EXPECT_FALSE(AnyInfOrNan(v.data(), 0));
+  v[0] = std::numeric_limits<float>::max();
+  v[1] = -0.0f;
+  v[2] = std::numeric_limits<float>::denorm_min();
+  v[3] = -std::numeric_limits<float>::max();
+  EXPECT_FALSE(AnyInfOrNan(v.data(), v.size()));
+  for (const float bad : {kNan, kInf, -kInf}) {
+    for (const std::size_t at : {0u, 150u, 300u}) {
+      std::vector<float> w = v;
+      w[at] = bad;
+      EXPECT_TRUE(AnyInfOrNan(w.data(), w.size())) << bad << " at=" << at;
+      EXPECT_FALSE(AnyInfOrNan(w.data(), at)) << bad << " at=" << at;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace zero

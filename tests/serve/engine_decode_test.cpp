@@ -3,9 +3,9 @@
 // logits bit-exact with the trainer's eval forward on the same weights —
 // at mp=1 and MP-sharded mp=2 (each degree against its own eval forward;
 // different degrees split reductions differently and are not comparable
-// bitwise). The config keeps every GEMM inside the small-kernel regime
-// for both the [bs,*] eval shapes and the [n_tokens,*] decode shapes
-// (see DESIGN.md §16), so "bit-exact" here is memcmp, not a tolerance.
+// bitwise). "Bit-exact" is memcmp, not a tolerance: the GEMM contract
+// (DESIGN.md §9) makes a logit's bits independent of how many rows and
+// cached positions the call that produced it covered.
 #include "serve/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -36,6 +36,17 @@ model::GptConfig TestConfig() {
   return c;
 }
 
+// Eval forward GEMMs on the packed side of the small/packed dispatch
+// (single-token decode stays on the small side), and a context
+// reduction over seq = 160 that spans two k panels.
+model::GptConfig WideConfig() {
+  model::GptConfig c = TestConfig();
+  c.seq = 160;
+  c.hidden = 64;
+  c.heads = 4;
+  return c;
+}
+
 std::vector<float> FullWeights(const model::GptConfig& cfg,
                                std::uint64_t seed) {
   model::GptModel m(cfg, {});
@@ -56,9 +67,9 @@ core::TrainingState StateFromWeights(std::vector<float> full) {
   return s;
 }
 
-InferenceOptions TestOptions() {
+InferenceOptions TestOptions(const model::GptConfig& cfg = TestConfig()) {
   InferenceOptions o;
-  o.model = TestConfig();
+  o.model = cfg;
   o.kv_block_tokens = 4;
   o.kv_max_blocks = 64;
   o.record_metrics = false;
@@ -66,6 +77,24 @@ InferenceOptions TestOptions() {
 }
 
 const std::vector<std::int32_t> kPrompt = {5, 17, 3, 42, 8, 1, 33, 20};
+
+struct DecodeCase {
+  const char* name;
+  model::GptConfig cfg;
+  std::vector<std::int32_t> prompt;
+};
+
+// Every bit-exact test runs each case. The 130-token prompt carries the
+// cached prefix past one 128-wide k panel as well.
+std::vector<DecodeCase> Cases() {
+  std::vector<std::int32_t> long_prompt(130);
+  for (std::size_t i = 0; i < long_prompt.size(); ++i) {
+    long_prompt[i] = static_cast<std::int32_t>((i * 37 + 5) % 64);
+  }
+  return {{"h16 seq16", TestConfig(), kPrompt},
+          {"h64 seq160", WideConfig(), kPrompt},
+          {"h64 seq160 long prompt", WideConfig(), long_prompt}};
+}
 
 // Greedy-decodes `steps` tokens after `prompt`, returning the logits row
 // of every sampled position (prompt end + each generated token).
@@ -151,85 +180,95 @@ void ExpectBitExact(const std::vector<std::vector<float>>& a,
 }
 
 TEST(EngineDecode, V2CheckpointGreedyDecodeBitExactVsEvalForward) {
-  const model::GptConfig cfg = TestConfig();
-  const std::vector<float> full = FullWeights(cfg, 0xC0FFEE);
-  const std::string path = "/tmp/zero_serve_ckpt_v2.bin";
-  StateFromWeights(full).SaveToFile(path);
+  for (const DecodeCase& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<float> full = FullWeights(c.cfg, 0xC0FFEE);
+    const std::string path = "/tmp/zero_serve_ckpt_v2.bin";
+    StateFromWeights(full).SaveToFile(path);
 
-  InferenceEngine eng(TestOptions(), {});
-  eng.LoadCheckpointFile(path);
-  // 8 sampled positions: prompt end + 7 generated continuations.
-  ExpectBitExact(DecodeLogits(eng, kPrompt, 8),
-                 EvalLogits(cfg, full, kPrompt, 8));
-  std::remove(path.c_str());
+    InferenceEngine eng(TestOptions(c.cfg), {});
+    eng.LoadCheckpointFile(path);
+    // 8 sampled positions: prompt end + 7 generated continuations.
+    ExpectBitExact(DecodeLogits(eng, c.prompt, 8),
+                   EvalLogits(c.cfg, full, c.prompt, 8));
+    std::remove(path.c_str());
+  }
 }
 
 TEST(EngineDecode, V1HeaderCheckpointLoads) {
-  const model::GptConfig cfg = TestConfig();
-  const std::vector<float> full = FullWeights(cfg, 0xBEEF);
-  std::vector<std::byte> bytes = StateFromWeights(full).Serialize();
-  // Rewrite as a v1 checkpoint: version u32 at offset 8 becomes 1 and
-  // the header shrinks from 64 to 40 bytes (the scaler fields go away).
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
-  bytes.erase(bytes.begin() + 40, bytes.begin() + 64);
-  const std::string path = "/tmp/zero_serve_ckpt_v1.bin";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  }
+  for (const DecodeCase& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<float> full = FullWeights(c.cfg, 0xBEEF);
+    std::vector<std::byte> bytes = StateFromWeights(full).Serialize();
+    // Rewrite as a v1 checkpoint: version u32 at offset 8 becomes 1 and
+    // the header shrinks from 64 to 40 bytes (the scaler fields go away).
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 8, &v1, sizeof(v1));
+    bytes.erase(bytes.begin() + 40, bytes.begin() + 64);
+    const std::string path = "/tmp/zero_serve_ckpt_v1.bin";
+    {
+      std::ofstream f(path, std::ios::binary);
+      f.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    }
 
-  InferenceEngine eng(TestOptions(), {});
-  eng.LoadCheckpointFile(path);
-  ExpectBitExact(DecodeLogits(eng, kPrompt, 4),
-                 EvalLogits(cfg, full, kPrompt, 4));
-  std::remove(path.c_str());
+    InferenceEngine eng(TestOptions(c.cfg), {});
+    eng.LoadCheckpointFile(path);
+    ExpectBitExact(DecodeLogits(eng, c.prompt, 4),
+                   EvalLogits(c.cfg, full, c.prompt, 4));
+    std::remove(path.c_str());
+  }
 }
 
 TEST(EngineDecode, TrainerWrittenCheckpointServesBitExact) {
-  core::TrainOptions opt;
-  opt.model = TestConfig();
-  opt.engine.stage = model::ZeroStage::kOsG;
-  opt.engine.checkpoint_every_n_steps = 2;
-  opt.engine.checkpoint_path = "/tmp/zero_serve_trained.bin";
-  opt.cluster.dp_degree = 2;
-  opt.cluster.mp_degree = 1;
-  opt.batch_per_rank = 2;
-  opt.steps = 2;
-  const core::TrainResult result = core::TrainGpt(opt);
-  ASSERT_FALSE(result.oom);
-  ASSERT_FALSE(result.failed);
+  for (const DecodeCase& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    core::TrainOptions opt;
+    opt.model = c.cfg;
+    opt.engine.stage = model::ZeroStage::kOsG;
+    opt.engine.checkpoint_every_n_steps = 2;
+    opt.engine.checkpoint_path = "/tmp/zero_serve_trained.bin";
+    opt.cluster.dp_degree = 2;
+    opt.cluster.mp_degree = 1;
+    opt.batch_per_rank = 2;
+    opt.steps = 2;
+    const core::TrainResult result = core::TrainGpt(opt);
+    ASSERT_FALSE(result.oom);
+    ASSERT_FALSE(result.failed);
 
-  const core::TrainingState state =
-      core::TrainingState::LoadFromFile(opt.engine.checkpoint_path);
-  InferenceEngine eng(TestOptions(), {});
-  eng.LoadState(state);
-  ExpectBitExact(DecodeLogits(eng, kPrompt, 4),
-                 EvalLogits(TestConfig(), state.master, kPrompt, 4));
-  std::remove(opt.engine.checkpoint_path.c_str());
+    const core::TrainingState state =
+        core::TrainingState::LoadFromFile(opt.engine.checkpoint_path);
+    InferenceEngine eng(TestOptions(c.cfg), {});
+    eng.LoadState(state);
+    ExpectBitExact(DecodeLogits(eng, c.prompt, 4),
+                   EvalLogits(c.cfg, state.master, c.prompt, 4));
+    std::remove(opt.engine.checkpoint_path.c_str());
+  }
 }
 
 TEST(EngineDecode, MpShardedDecodeBitExactVsMpEvalForward) {
-  const model::GptConfig cfg = TestConfig();
-  const std::vector<float> full = FullWeights(cfg, 0xFACADE);
-  const std::string path = "/tmp/zero_serve_ckpt_mp.bin";
-  StateFromWeights(full).SaveToFile(path);
+  for (const DecodeCase& c : Cases()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<float> full = FullWeights(c.cfg, 0xFACADE);
+    const std::string path = "/tmp/zero_serve_ckpt_mp.bin";
+    StateFromWeights(full).SaveToFile(path);
 
-  comm::World world(2);
-  world.Run([&](comm::RankContext& ctx) {
-    comm::Communicator mp = comm::Communicator::WholeWorld(ctx);
-    model::GptSession session;
-    session.mp = &mp;
-    InferenceEngine eng(TestOptions(), session);
-    eng.LoadCheckpointFile(path);
-    // Every rank's MP-sharded decode must reproduce the MP-sharded eval
-    // forward bitwise (greedy sampling reads replicated, all-reduced
-    // logits, so the ranks roll out the same tokens in lockstep).
-    ExpectBitExact(DecodeLogits(eng, kPrompt, 6),
-                   EvalLogits(cfg, full, kPrompt, 6, session));
-  });
-  std::remove(path.c_str());
+    comm::World world(2);
+    world.Run([&](comm::RankContext& ctx) {
+      comm::Communicator mp = comm::Communicator::WholeWorld(ctx);
+      model::GptSession session;
+      session.mp = &mp;
+      InferenceEngine eng(TestOptions(c.cfg), session);
+      eng.LoadCheckpointFile(path);
+      // Every rank's MP-sharded decode must reproduce the MP-sharded
+      // eval forward bitwise (greedy sampling reads replicated,
+      // all-reduced logits, so the ranks roll out the same tokens in
+      // lockstep).
+      ExpectBitExact(DecodeLogits(eng, c.prompt, 6),
+                     EvalLogits(c.cfg, full, c.prompt, 6, session));
+    });
+    std::remove(path.c_str());
+  }
 }
 
 TEST(EngineDecode, ContinuousBatchingMatchesIsolatedDecode) {

@@ -1,6 +1,6 @@
 // Reduced-precision serving weights behind the dispatched GEMM backend:
 // the fp32 backend must stay memcmp-bit-exact with the trainer's eval
-// forward (same envelope engine_decode_test pins), while fp16 and int8
+// forward (engine_decode_test pins that), while fp16 and int8
 // must greedy-decode the identical token sequence with a bounded
 // max-logit deviation from fp32 — at mp=1 and MP-sharded mp=2.
 #include "serve/engine.hpp"

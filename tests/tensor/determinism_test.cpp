@@ -4,13 +4,22 @@
 // partials combine in chunk-index order — so 1 worker, N workers, and
 // the serial fallback must agree exactly, which is what keeps the ZeRO
 // stage-equivalence tests exact when the pool is enabled.
+//
+// The GEMM contract is stronger: an element's bits depend only on its
+// row of op(A), its column of op(B), k and alpha — not on m, n or which
+// side of the small/packed dispatch the call takes — and trailing zero
+// terms in k are exact no-ops. That is what lets incremental decode (a
+// few rows, k = cached length) reproduce the full forward (all rows,
+// k = seq) bitwise.
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "optim/adam.hpp"
+#include "tensor/gemm_backend.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/parallel_for.hpp"
 
@@ -56,6 +65,116 @@ TEST(DeterminismTest, GemmBitwiseAcrossWorkerCounts) {
         Gemm(ta, tb, m, n, k, 0.7f, a.data(), b.data(), 0.3f, c.data());
         return c;
       });
+    }
+  }
+}
+
+struct GemmShape {
+  std::int64_t m, n, k;
+};
+
+// Both sides of the 2^15-flop small/packed dispatch, m past one kMc row
+// block (256) and k past one kKc panel (128). Single-row calls of the
+// packed shapes take the small path, except 2x300x140, which stays
+// packed at one row.
+const GemmShape kRowShapes[] = {
+    {3, 5, 7},     {7, 33, 100},  {5, 20, 300},
+    {300, 40, 150}, {270, 70, 260}, {2, 300, 140},
+};
+const float kRowAlphas[] = {1.0f, 0.17677669f};  // 1/sqrt(32): attention
+
+// Row i of a [m, n] result.
+bool RowEquals(const std::vector<float>& full, std::int64_t i,
+               const std::vector<float>& row) {
+  return std::memcmp(full.data() + i * static_cast<std::int64_t>(row.size()),
+                     row.data(), row.size() * sizeof(float)) == 0;
+}
+
+TEST(DeterminismTest, GemmRowBitwiseEqualsSingleRowGemm) {
+  Rng rng(31);
+  for (const GemmShape& s : kRowShapes) {
+    const auto a = RandomVec(static_cast<std::size_t>(s.m * s.k), rng);
+    const auto b = RandomVec(static_cast<std::size_t>(s.k * s.n), rng);
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        for (float alpha : kRowAlphas) {
+          std::vector<float> full(static_cast<std::size_t>(s.m * s.n));
+          Gemm(ta, tb, s.m, s.n, s.k, alpha, a.data(), b.data(), 0.0f,
+               full.data());
+          std::vector<float> a_row(static_cast<std::size_t>(s.k));
+          std::vector<float> row(static_cast<std::size_t>(s.n));
+          for (std::int64_t i = 0; i < s.m; ++i) {
+            for (std::int64_t kk = 0; kk < s.k; ++kk) {
+              a_row[static_cast<std::size_t>(kk)] =
+                  a[static_cast<std::size_t>(ta ? kk * s.m + i
+                                                : i * s.k + kk)];
+            }
+            Gemm(false, tb, 1, s.n, s.k, alpha, a_row.data(), b.data(), 0.0f,
+                 row.data());
+            ASSERT_TRUE(RowEquals(full, i, row))
+                << s.m << "x" << s.n << "x" << s.k << " ta=" << ta
+                << " tb=" << tb << " alpha=" << alpha << " row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, GemmTrailingZeroTermsAreExactNoOps) {
+  // The attention-context shape: [m, k] probabilities, +0 past k_len,
+  // against [k, hd] values that stay finite (and arbitrary) past k_len.
+  Rng rng(37);
+  const std::int64_t k = 160, n = 16;
+  const auto b = RandomVec(static_cast<std::size_t>(k * n), rng);
+  for (std::int64_t m : {1, 4, 160}) {
+    const auto a = RandomVec(static_cast<std::size_t>(m * k), rng);
+    for (std::int64_t k_len : {5, 127, 128, 129}) {
+      std::vector<float> a_pad(a.size(), 0.0f);
+      std::vector<float> a_cut(static_cast<std::size_t>(m * k_len));
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t kk = 0; kk < k_len; ++kk) {
+          const float v = a[static_cast<std::size_t>(i * k + kk)];
+          a_pad[static_cast<std::size_t>(i * k + kk)] = v;
+          a_cut[static_cast<std::size_t>(i * k_len + kk)] = v;
+        }
+      }
+      std::vector<float> padded(static_cast<std::size_t>(m * n));
+      std::vector<float> cut(padded.size());
+      Gemm(false, false, m, n, k, 1.0f, a_pad.data(), b.data(), 0.0f,
+           padded.data());
+      Gemm(false, false, m, n, k_len, 1.0f, a_cut.data(), b.data(), 0.0f,
+           cut.data());
+      EXPECT_EQ(std::memcmp(padded.data(), cut.data(),
+                            cut.size() * sizeof(float)),
+                0)
+          << "m=" << m << " k_len=" << k_len;
+    }
+  }
+}
+
+TEST(DeterminismTest, WeightGemmRowBitwiseEqualsSingleRowGemm) {
+  Rng rng(41);
+  for (const char* name : {"fp32", "fp16", "int8"}) {
+    const GemmBackend& backend = GemmBackendByName(name);
+    for (const GemmShape& s : kRowShapes) {
+      const auto a = RandomVec(static_cast<std::size_t>(s.m * s.k), rng);
+      const auto w = RandomVec(static_cast<std::size_t>(s.n * s.k), rng);
+      std::vector<std::byte> packed(backend.PackedBytes(s.n, s.k));
+      backend.Pack(w.data(), s.n, s.k, packed.data());
+      for (float alpha : kRowAlphas) {
+        std::vector<float> full(static_cast<std::size_t>(s.m * s.n));
+        backend.GemmWeightT(s.m, s.n, s.k, alpha, a.data(), packed.data(),
+                            0.0f, full.data());
+        std::vector<float> row(static_cast<std::size_t>(s.n));
+        for (std::int64_t i = 0; i < s.m; ++i) {
+          backend.GemmWeightT(1, s.n, s.k, alpha, a.data() + i * s.k,
+                              packed.data(), 0.0f, row.data());
+          ASSERT_TRUE(RowEquals(full, i, row))
+              << name << " " << s.m << "x" << s.n << "x" << s.k
+              << " alpha=" << alpha << " row " << i;
+        }
+      }
     }
   }
 }
