@@ -207,6 +207,32 @@ int main(int argc, char** argv) {
       });
       rep.Add("gemm512_nt_packed_serial_gflops", flops / t / 1e9);
     }
+    {
+      // dW = X^T dY: the transposed-A case of every weight gradient.
+      zero::tensor::IntraOpWorkersGuard guard(1);
+      t = BestSeconds([&] {
+        zero::tensor::Gemm(true, false, n, n, n, 1.0f, a.data(), b.data(),
+                           0.0f, c.data());
+      });
+      rep.Add("gemm512_tn_packed_serial_gflops", flops / t / 1e9);
+    }
+  }
+
+  // ---- per-head attention scores: Q K^T * 1/sqrt(hd), seq 128, hd 32 ----
+  {
+    const std::int64_t seq = 128, hd = 32, calls = 64;
+    const double flops = 2.0 * seq * seq * hd * calls;
+    auto q = RandVec(static_cast<std::size_t>(seq * hd), 12);
+    auto k = RandVec(static_cast<std::size_t>(seq * hd), 13);
+    std::vector<float> s(static_cast<std::size_t>(seq * seq));
+    zero::tensor::IntraOpWorkersGuard guard(1);
+    const double t = BestSeconds([&] {
+      for (std::int64_t i = 0; i < calls; ++i) {
+        zero::tensor::Gemm(false, true, seq, seq, hd, 0.17677669f, q.data(),
+                           k.data(), 0.0f, s.data());
+      }
+    });
+    rep.Add("gemm_attn_128x128x32_gflops", flops / t / 1e9);
   }
 
   // ---- bulk fp16 conversion (L2-resident working set) ----

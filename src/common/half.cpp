@@ -107,10 +107,9 @@ const float* HalfDecodeTable() {
 // The bulk converters carry a bit-exactness contract with the scalar
 // Half conversions (tests/common/half_lut_test.cpp checks it, decode
 // exhaustively). The AVX-512 paths below were verified to satisfy it:
-//  - decode: pure integer rebiasing; subnormals via the exact
-//    as_float(magic + (mant << 13)) - as_float(magic) identity (every
-//    half subnormal is representable in fp32, so the subtraction is
-//    exact); Inf/NaN reconstructed with OR, so NaN payloads survive.
+//  - decode: VCVTPH2PS is exact for every half (subnormals included)
+//    except that it sets the quiet bit of a signalling NaN; NaN lanes
+//    get the source's own quiet bit back, so NaN payloads survive.
 //  - encode: VCVTPS2PH rounds to nearest-even and quiets SNaNs by
 //    setting the same 0x0200 bit FromFloat sets.
 void ScaledFloatToHalf(const float* src, float scale, Half* dst,
@@ -139,33 +138,22 @@ void FloatToHalf(const float* src, Half* dst, std::size_t n) {
 void HalfToFloat(const Half* src, float* dst, std::size_t n) {
   std::size_t i = 0;
 #if defined(__AVX512F__)
-  const __m512i sign_mask = _mm512_set1_epi32(0x8000);
-  const __m512i exp_mask = _mm512_set1_epi32(0x7C00);
-  const __m512i mant_mask = _mm512_set1_epi32(0x03FF);
-  const __m512i exp_adj = _mm512_set1_epi32((127 - 15) << 23);
-  const __m512i infnan = _mm512_set1_epi32(0x7F800000);
-  const __m512i magic = _mm512_set1_epi32(0x38800000);  // 2^-14
+  const __m512i quiet_bit = _mm512_set1_epi32(0x00400000);
+  const __m512i half_quiet_bit = _mm512_set1_epi32(0x0200);
   for (; i + 16 <= n; i += 16) {
     const __m256i h16 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m512i h = _mm512_cvtepu16_epi32(h16);
-    const __m512i sign = _mm512_slli_epi32(_mm512_and_si512(h, sign_mask), 16);
-    const __m512i exp = _mm512_and_si512(h, exp_mask);
-    const __m512i mant = _mm512_and_si512(h, mant_mask);
-    const __m512i mant13 = _mm512_slli_epi32(mant, 13);
-    const __m512i norm = _mm512_add_epi32(
-        _mm512_slli_epi32(_mm512_or_si512(exp, mant), 13), exp_adj);
-    const __m512 subf =
-        _mm512_sub_ps(_mm512_castsi512_ps(_mm512_add_epi32(magic, mant13)),
-                      _mm512_castsi512_ps(magic));
-    const __m512i special = _mm512_or_si512(infnan, mant13);
-    const __mmask16 is_sub =
-        _mm512_cmpeq_epi32_mask(exp, _mm512_setzero_si512());
-    const __mmask16 is_special = _mm512_cmpeq_epi32_mask(exp, exp_mask);
-    __m512i out = _mm512_mask_blend_epi32(is_sub, norm, _mm512_castps_si512(subf));
-    out = _mm512_mask_blend_epi32(is_special, out, special);
-    out = _mm512_or_si512(out, sign);
-    _mm512_storeu_ps(dst + i, _mm512_castsi512_ps(out));
+    __m512 out = _mm512_cvtph_ps(h16);
+    const __mmask16 is_nan = _mm512_cmp_ps_mask(out, out, _CMP_UNORD_Q);
+    if (is_nan != 0) {
+      const __m512i h = _mm512_cvtepu16_epi32(h16);
+      const __m512i src_quiet =
+          _mm512_slli_epi32(_mm512_and_si512(h, half_quiet_bit), 13);
+      const __m512i fixed = _mm512_or_si512(
+          _mm512_andnot_si512(quiet_bit, _mm512_castps_si512(out)), src_quiet);
+      out = _mm512_mask_mov_ps(out, is_nan, _mm512_castsi512_ps(fixed));
+    }
+    _mm512_storeu_ps(dst + i, out);
   }
 #endif
   const float* table = HalfDecodeTable();

@@ -1,14 +1,24 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
+#if defined(__AVX512F__)
+// GCC 12 flags the intentionally undefined pass-through operand inside
+// the AVX-512 shuffle intrinsics as maybe-uninitialized (fixed in GCC
+// 13); the warning points into this header, so it is silenced here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
 #include "alloc/scratch.hpp"
 #include "common/error.hpp"
+#include "tensor/fast_exp.hpp"
 #include "tensor/parallel_for.hpp"
 
 namespace zero::tensor {
@@ -18,12 +28,14 @@ namespace {
 // ---------------------------------------------------------------------------
 // Blocking parameters.
 //
-// The micro-kernel computes a kMr x kNr register tile: 4x32 floats is 8
-// AVX-512 (or 16 AVX2) accumulator vectors, leaving room for the A
-// broadcast and B loads. Panel sizes keep the packed B strip (kKc x kNr
-// = 16 KiB) L1-resident and the packed A block (kMc x kKc = 128 KiB)
-// L2-resident.
-constexpr std::int64_t kMr = 4;
+// The micro-kernel computes a kMr x kNr register tile: 8x32 is 16
+// AVX-512 accumulators (8 rows x 2 vectors) that stay in registers for
+// the whole kc loop, plus the two B vectors and the A broadcast. Panel
+// sizes keep the packed B strip (kKc x kNr = 16 KiB) L1-resident and
+// the packed A block (kMc x kKc = 128 KiB) L2-resident. The tile shape
+// is not part of the numeric contract: every C element runs the same
+// chain whatever kMr is.
+constexpr std::int64_t kMr = 8;
 constexpr std::int64_t kNr = 32;
 constexpr std::int64_t kMc = 256;
 constexpr std::int64_t kKc = 128;
@@ -88,21 +100,117 @@ void SmallGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   });
 }
 
+#if defined(__AVX512F__)
+// In-register transposes for the packers (AVX-512F and the AVX it
+// implies; no wider ISA extension). Pure data movement: the packed
+// floats are bitwise the ones the per-element loops would copy.
+
+// r[t] = column t of the 8x8 block whose rows are r[0..7].
+inline void Transpose8x8(__m256 r[8]) {
+  __m256 t[8];
+  __m256 s[8];
+  for (int i = 0; i < 4; ++i) {
+    t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+    t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+  }
+  for (int h = 0; h < 2; ++h) {
+    // s[4h + e], e = 0..3: rows 4h..4h+3 at columns e (low 128-bit lane)
+    // and e + 4 (high lane).
+    s[4 * h + 0] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0x44);
+    s[4 * h + 1] = _mm256_shuffle_ps(t[4 * h], t[4 * h + 2], 0xEE);
+    s[4 * h + 2] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0x44);
+    s[4 * h + 3] = _mm256_shuffle_ps(t[4 * h + 1], t[4 * h + 3], 0xEE);
+  }
+  for (int e = 0; e < 4; ++e) {
+    r[e] = _mm256_permute2f128_ps(s[e], s[4 + e], 0x20);
+    r[e + 4] = _mm256_permute2f128_ps(s[e], s[4 + e], 0x31);
+  }
+}
+
+// r[t] = column t of the 16x16 block whose rows are r[0..15].
+inline void Transpose16x16(__m512 r[16]) {
+  __m512 t[16];
+  for (int i = 0; i < 8; ++i) {
+    t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+    t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+  }
+  // u[4g + e]: rows 4g..4g+3 at column 4L + e in 128-bit lane L.
+  __m512 u[16];
+  for (int g = 0; g < 4; ++g) {
+    u[4 * g + 0] = _mm512_shuffle_ps(t[4 * g], t[4 * g + 2], 0x44);
+    u[4 * g + 1] = _mm512_shuffle_ps(t[4 * g], t[4 * g + 2], 0xEE);
+    u[4 * g + 2] = _mm512_shuffle_ps(t[4 * g + 1], t[4 * g + 3], 0x44);
+    u[4 * g + 3] = _mm512_shuffle_ps(t[4 * g + 1], t[4 * g + 3], 0xEE);
+  }
+  // Gather lane L of u[e], u[4 + e], u[8 + e], u[12 + e] into column
+  // 4L + e: even lanes by 0x88, odd lanes by 0xDD, twice.
+  for (int e = 0; e < 4; ++e) {
+    const __m512 v0 = _mm512_shuffle_f32x4(u[e], u[4 + e], 0x88);
+    const __m512 v1 = _mm512_shuffle_f32x4(u[e], u[4 + e], 0xDD);
+    const __m512 w0 = _mm512_shuffle_f32x4(u[8 + e], u[12 + e], 0x88);
+    const __m512 w1 = _mm512_shuffle_f32x4(u[8 + e], u[12 + e], 0xDD);
+    r[e] = _mm512_shuffle_f32x4(v0, w0, 0x88);
+    r[e + 4] = _mm512_shuffle_f32x4(v1, w1, 0x88);
+    r[e + 8] = _mm512_shuffle_f32x4(v0, w0, 0xDD);
+    r[e + 12] = _mm512_shuffle_f32x4(v1, w1, 0xDD);
+  }
+}
+#endif
+
 // Packs rows [i0, i0+mc) x k-range [p0, p0+kc) of op(A) into micro-panels
 // of kMr rows: dst[(panel * kc + kk) * kMr + r], zero-padded past mc.
 // alpha is folded in here (the seed kernel multiplied it into A too).
+// One loop per storage order: transposed A holds a panel's kMr rows
+// contiguously at each kk; row-major A is transposed 8 x 8 in registers
+// (full panels, whole 8-deep k steps) and element by element elsewhere.
 void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
            std::int64_t i0, std::int64_t mc, std::int64_t p0, std::int64_t kc,
            float alpha, float* dst) {
   const std::int64_t panels = (mc + kMr - 1) / kMr;
+  if (trans) {
+    // 8-deep k steps across every panel: the 8 source rows stream
+    // contiguously instead of each panel striding through kc rows
+    // (rows m floats apart alias in L1 when m is a multiple of 1024).
+    for (std::int64_t kb = 0; kb < kc; kb += 8) {
+      const std::int64_t kb_e = std::min<std::int64_t>(8, kc - kb);
+      for (std::int64_t p = 0; p < panels; ++p) {
+        const std::int64_t rbase = i0 + p * kMr;
+        const std::int64_t rvalid =
+            std::min<std::int64_t>(kMr, i0 + mc - rbase);
+        for (std::int64_t t = 0; t < kb_e; ++t) {
+          float* drow = dst + (p * kc + kb + t) * kMr;
+          const float* srow = a + (p0 + kb + t) * m + rbase;
+          for (std::int64_t r = 0; r < rvalid; ++r) drow[r] = alpha * srow[r];
+          for (std::int64_t r = rvalid; r < kMr; ++r) drow[r] = 0.0f;
+        }
+      }
+    }
+    return;
+  }
   for (std::int64_t p = 0; p < panels; ++p) {
     float* dp = dst + p * kc * kMr;
     const std::int64_t rbase = i0 + p * kMr;
     const std::int64_t rvalid = std::min<std::int64_t>(kMr, i0 + mc - rbase);
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
+    std::int64_t kk = 0;
+    const float* src = a + rbase * k + p0;
+#if defined(__AVX512F__)
+    static_assert(kMr == 8, "the 8x8 A transpose fills one kMr panel");
+    if (rvalid == kMr) {
+      const __m256 va = _mm256_set1_ps(alpha);
+      for (; kk + 8 <= kc; kk += 8) {
+        __m256 r[8];
+        for (int i = 0; i < 8; ++i) {
+          r[i] = _mm256_mul_ps(va, _mm256_loadu_ps(src + i * k + kk));
+        }
+        Transpose8x8(r);
+        for (int t = 0; t < 8; ++t) _mm256_storeu_ps(dp + (kk + t) * kMr, r[t]);
+      }
+    }
+#endif
+    for (; kk < kc; ++kk) {
       float* drow = dp + kk * kMr;
       for (std::int64_t r = 0; r < rvalid; ++r) {
-        drow[r] = alpha * OpA(a, trans, m, k, rbase + r, p0 + kk);
+        drow[r] = alpha * src[r * k + kk];
       }
       for (std::int64_t r = rvalid; r < kMr; ++r) drow[r] = 0.0f;
     }
@@ -111,6 +219,9 @@ void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
 
 // Packs k-range [p0, p0+kc) x cols [j0, j0+nc) of op(B) into micro-panels
 // of kNr columns: dst[(panel * kc + kk) * kNr + j], zero-padded past nc.
+// Row-major B copies each panel row with one memcpy; transposed B is
+// transposed 16 x 16 in registers (full panels, whole 16-deep k steps)
+// and element by element elsewhere.
 void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
            std::int64_t p0, std::int64_t kc, std::int64_t j0, std::int64_t nc,
            float* dst) {
@@ -119,21 +230,99 @@ void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
     float* dp = dst + p * kc * kNr;
     const std::int64_t cbase = j0 + p * kNr;
     const std::int64_t cvalid = std::min<std::int64_t>(kNr, j0 + nc - cbase);
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-      float* drow = dp + kk * kNr;
-      for (std::int64_t j = 0; j < cvalid; ++j) {
-        drow[j] = OpB(b, trans, k, n, p0 + kk, cbase + j);
+    std::int64_t kk = 0;
+    if (!trans) {
+      const float* src = b + p0 * n + cbase;
+      for (; kk < kc; ++kk) {
+        float* drow = dp + kk * kNr;
+        std::memcpy(drow, src + kk * n,
+                    static_cast<std::size_t>(cvalid) * sizeof(float));
+        for (std::int64_t j = cvalid; j < kNr; ++j) drow[j] = 0.0f;
       }
+      continue;
+    }
+    const float* src = b + cbase * k + p0;
+#if defined(__AVX512F__)
+    if (cvalid == kNr) {
+      for (; kk + 16 <= kc; kk += 16) {
+        for (std::int64_t jh = 0; jh < kNr; jh += 16) {
+          __m512 r[16];
+          for (int j = 0; j < 16; ++j) {
+            r[j] = _mm512_loadu_ps(src + (jh + j) * k + kk);
+          }
+          Transpose16x16(r);
+          for (int t = 0; t < 16; ++t) {
+            _mm512_storeu_ps(dp + (kk + t) * kNr + jh, r[t]);
+          }
+        }
+      }
+    }
+#endif
+    for (; kk < kc; ++kk) {
+      float* drow = dp + kk * kNr;
+      for (std::int64_t j = 0; j < cvalid; ++j) drow[j] = src[j * k + kk];
       for (std::int64_t j = cvalid; j < kNr; ++j) drow[j] = 0.0f;
     }
   }
 }
 
-// C_tile[mr_e, nr_e] += packed-A panel x packed-B panel. The accumulator
-// tile lives in registers across the whole kc loop; compile-time bounds
-// let the compiler unroll and vectorize the j loop. Padded lanes (r >=
-// mr_e, j >= nr_e) compute garbage that is never written back. The
-// multiply-add is an explicit std::fma, the same chain SmallGemm runs.
+// C_tile[mr_e, nr_e] += packed-A panel x packed-B panel. Padded lanes
+// (r >= mr_e, j >= nr_e) compute values that are never written back.
+// Each accumulator runs the contract's chain: a fused multiply-add per
+// kk, in k order from +0, then one add into C.
+#if defined(__AVX512F__)
+// The 8 x 32 tile in 16 zmm accumulators; masked loads and stores cover
+// the n edge.
+void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
+                 std::int64_t ldc, std::int64_t mr_e, std::int64_t nr_e) {
+  static_assert(kNr == 32, "the AVX-512 tile is two 16-float vectors wide");
+  // Every loop over r is fully unrolled, so each accumulator index is a
+  // constant and the tile never leaves registers.
+  __m512 acc0[kMr];
+  __m512 acc1[kMr];
+#pragma GCC unroll 8
+  for (int r = 0; r < kMr; ++r) {
+    acc0[r] = _mm512_setzero_ps();
+    acc1[r] = _mm512_setzero_ps();
+    // The C tile is read only after the kc loop: start fetching it now.
+    if (r < mr_e) {
+      _mm_prefetch(reinterpret_cast<const char*>(c + r * ldc), _MM_HINT_T0);
+      _mm_prefetch(reinterpret_cast<const char*>(c + r * ldc + 16),
+                   _MM_HINT_T0);
+    }
+  }
+#pragma GCC unroll 4
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const __m512 b0 = _mm512_loadu_ps(pb + kk * kNr);
+    const __m512 b1 = _mm512_loadu_ps(pb + kk * kNr + 16);
+    const float* arow = pa + kk * kMr;
+#pragma GCC unroll 8
+    for (int r = 0; r < kMr; ++r) {
+      const __m512 av = _mm512_set1_ps(arow[r]);
+      acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+    }
+  }
+  const auto lane_mask = [](std::int64_t valid) {
+    return static_cast<__mmask16>(
+        valid >= 16 ? 0xFFFFu : valid <= 0 ? 0u : (1u << valid) - 1u);
+  };
+  const __mmask16 m0 = lane_mask(nr_e);
+  const __mmask16 m1 = lane_mask(nr_e - 16);
+#pragma GCC unroll 8
+  for (int r = 0; r < kMr; ++r) {
+    if (r < mr_e) {
+      float* cr = c + r * ldc;
+      _mm512_mask_storeu_ps(
+          cr, m0, _mm512_add_ps(_mm512_maskz_loadu_ps(m0, cr), acc0[r]));
+      _mm512_mask_storeu_ps(
+          cr + 16, m1,
+          _mm512_add_ps(_mm512_maskz_loadu_ps(m1, cr + 16), acc1[r]));
+    }
+  }
+}
+#else
+// Compile-time bounds let the compiler unroll and vectorize the j loop.
 void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
                  std::int64_t ldc, std::int64_t mr_e, std::int64_t nr_e) {
   float acc[kMr][kNr] = {};
@@ -159,6 +348,7 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
     }
   }
 }
+#endif
 
 // The B-side tile walk of the packed loop nest: jc outer over kNc column
 // blocks, pc inner over kKc k-blocks. `fn(jc, nc, pc, kc, base)` sees
@@ -455,46 +645,7 @@ void BiasGradFromRows(const float* dy, float* dbias, std::int64_t rows,
 }
 
 namespace {
-// Branch-free exp for the GELU and softmax loops. The libm exp and
-// tanh are opaque calls that keep those loops scalar; this inlines to
-// fma/select code the vectorizer turns into full-width SIMD.
-//
-// The argument is clamped to [-87, 88] before the float->int conversion
-// (a NaN clamps to a finite value, so the conversion is never
-// undefined). Below -87 the result flushes to +0, so exp(-inf) is
-// exactly 0 as the masked softmax entries need; above 88 it is +inf;
-// NaN stays NaN. In range: n = round(x / ln2) by the 1.5*2^23 shift,
-// r = x - n*ln2 in two Cody-Waite steps, a degree-6 polynomial fitted
-// for relative error on [-ln2/2, ln2/2], and 2^n built in the exponent
-// field (n+127 stays in [1, 254]).
-//
-// Every multiply-add is an explicit std::fma and this library is built
-// with -ffp-contract=off, so the vector body and the scalar tail of a
-// loop compute identical bits: the decode memcmp contract needs an
-// element's bits independent of its position.
-inline float ExpF(float x) {
-  constexpr float kLog2e = 1.44269504088896341f;
-  constexpr float kLn2Hi = 0.693359375f;  // 9 bits: n * kLn2Hi is exact
-  constexpr float kLn2Lo = -2.12194440e-4f;
-  constexpr float kShift = 12582912.0f;  // 1.5 * 2^23
-  const float xc = std::max(-87.0f, std::min(88.0f, x));
-  const float n = std::fma(xc, kLog2e, kShift) - kShift;
-  float r = std::fma(n, -kLn2Hi, xc);
-  r = std::fma(n, -kLn2Lo, r);
-  float p = 0.0013814612f;
-  p = std::fma(p, r, 0.0083687100f);
-  p = std::fma(p, r, 0.041668389f);
-  p = std::fma(p, r, 0.16666521f);
-  p = std::fma(p, r, 0.49999994f);
-  p = std::fma(p, r, 1.0f);
-  p = std::fma(p, r, 1.0f);
-  const float scale =
-      std::bit_cast<float>((static_cast<std::int32_t>(n) + 127) << 23);
-  float y = p * scale;
-  y = x < -87.0f ? 0.0f : y;
-  y = x > 88.0f ? std::numeric_limits<float>::infinity() : y;
-  return std::isnan(x) ? x : y;
-}
+using detail::ExpF;
 
 // tanh-approximation GELU, the variant GPT-2 uses:
 //   0.5 v (1 + tanh u) = v * sigmoid(2u),  u = c (v + a v^3).
@@ -645,8 +796,25 @@ namespace {
 // One row, in place — shared by the softmax entry points so the causal
 // kernel can fuse masking without a nested parallel call.
 inline void SoftmaxRow(float* xr, std::int64_t cols) {
-  float mx = -std::numeric_limits<float>::infinity();
-  for (std::int64_t c = 0; c < cols; ++c) mx = std::max(mx, xr[c]);
+  // The row max runs in kLanes independent std::max chains folded at the
+  // end, so it is not one serial chain of max latencies. The order does
+  // not matter here: every chain starts at -inf, so std::max skips NaNs
+  // as the serial fold does, and a +0/-0 tie changes only the sign of a
+  // zero max, which no ExpF(x - mx) below can see.
+  constexpr std::int64_t kLanes = 16;
+  float lane[kLanes];
+  std::fill_n(lane, kLanes, -std::numeric_limits<float>::infinity());
+  std::int64_t c0 = 0;
+  for (; c0 + kLanes <= cols; c0 += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      lane[l] = std::max(lane[l], xr[c0 + l]);
+    }
+  }
+  for (std::int64_t l = 0; c0 + l < cols; ++l) {
+    lane[l] = std::max(lane[l], xr[c0 + l]);
+  }
+  float mx = lane[0];
+  for (std::int64_t l = 1; l < kLanes; ++l) mx = std::max(mx, lane[l]);
   // The exp loop vectorizes; the sum stays a separate serial loop so its
   // order (and bits) do not depend on the vector width.
   for (std::int64_t c = 0; c < cols; ++c) xr[c] = ExpF(xr[c] - mx);

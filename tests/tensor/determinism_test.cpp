@@ -11,6 +11,9 @@
 // terms in k are exact no-ops. That is what lets incremental decode (a
 // few rows, k = cached length) reproduce the full forward (all rows,
 // k = seq) bitwise.
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -173,6 +176,135 @@ TEST(DeterminismTest, WeightGemmRowBitwiseEqualsSingleRowGemm) {
           ASSERT_TRUE(RowEquals(full, i, row))
               << name << " " << s.m << "x" << s.n << "x" << s.k
               << " alpha=" << alpha << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+// DESIGN.md §9's per-element chain written out scalar: the beta
+// pre-pass (C = +0 for beta 0, untouched for beta 1, beta * C
+// otherwise), alpha folded into the A element, k cut at 128-deep
+// panels, each panel a std::fma chain from +0 in k order that is then
+// added into C. B is op(B) already, stored [k, n].
+constexpr std::int64_t kContractKc = 128;
+
+void ContractGemm(bool ta, std::int64_t m, std::int64_t n, std::int64_t k,
+                  float alpha, const float* a, const float* opb, float beta,
+                  float* c) {
+  for (std::int64_t e = 0; e < m * n; ++e) {
+    c[e] = beta == 0.0f ? 0.0f : beta == 1.0f ? c[e] : beta * c[e];
+  }
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float cij = c[i * n + j];
+      for (std::int64_t pc = 0; pc < k; pc += kContractKc) {
+        float acc = 0.0f;
+        for (std::int64_t kk = pc; kk < std::min(k, pc + kContractKc); ++kk) {
+          const float av = alpha * (ta ? a[kk * m + i] : a[i * k + kk]);
+          acc = std::fma(av, opb[kk * n + j], acc);
+        }
+        cij += acc;
+      }
+      c[i * n + j] = cij;
+    }
+  }
+}
+
+// op(B) of a B stored [k, n] (or [n, k] transposed) as [k, n].
+std::vector<float> OpB(const std::vector<float>& b, bool tb, std::int64_t k,
+                       std::int64_t n) {
+  std::vector<float> out(b.size());
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      out[static_cast<std::size_t>(kk * n + j)] =
+          b[static_cast<std::size_t>(tb ? j * k + kk : kk * n + j)];
+    }
+  }
+  return out;
+}
+
+const float kContractAlphas[] = {1.0f, 0.17677669f};
+const float kContractBetas[] = {0.0f, 0.5f, 1.0f};
+
+// Every packer and micro-kernel edge against the written-out chain:
+// the four transpose cases; m across the 8-row tile, its edges and one
+// kMc row block; n inside, at and past one 32-wide panel; k inside, at
+// and past one kKc panel and the transpose blocks; both sides of the
+// small/packed dispatch. alpha and beta cycle.
+TEST(DeterminismTest, GemmMatchesContractReference) {
+  Rng rng(47);
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 1; m <= 17; ++m) ms.push_back(m);
+  ms.push_back(255);
+  ms.push_back(257);
+  int combo = 0;
+  for (const std::int64_t k : {1, 127, 129, 257}) {
+    for (const std::int64_t n : {1, 31, 33, 100}) {
+      const auto b = RandomVec(static_cast<std::size_t>(k * n), rng);
+      for (bool tb : {false, true}) {
+        const std::vector<float> opb = OpB(b, tb, k, n);
+        for (const std::int64_t m : ms) {
+          const auto a = RandomVec(static_cast<std::size_t>(m * k), rng);
+          const auto c0 = RandomVec(static_cast<std::size_t>(m * n), rng);
+          for (bool ta : {false, true}) {
+            // combo's parity is ta's: alpha steps every second combo so
+            // that each transpose case sees both alphas.
+            const float alpha = kContractAlphas[(combo / 2) % 2];
+            const float beta = kContractBetas[combo % 3];
+            ++combo;
+            std::vector<float> want = c0;
+            ContractGemm(ta, m, n, k, alpha, a.data(), opb.data(), beta,
+                         want.data());
+            std::vector<float> got = c0;
+            Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta,
+                 got.data());
+            ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                  want.size() * sizeof(float)),
+                      0)
+                << m << "x" << n << "x" << k << " ta=" << ta << " tb=" << tb
+                << " alpha=" << alpha << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The serving-weight GEMMs run the same chain on the decoded weights,
+// at decode-sized m across both tile heights.
+TEST(DeterminismTest, WeightGemmMatchesContractReference) {
+  Rng rng(53);
+  int combo = 0;
+  for (const char* name : {"fp32", "fp16", "int8"}) {
+    const GemmBackend& backend = GemmBackendByName(name);
+    for (const std::int64_t k : {1, 127, 129, 257}) {
+      for (const std::int64_t n : {1, 31, 33, 100}) {
+        const auto w = RandomVec(static_cast<std::size_t>(n * k), rng);
+        std::vector<std::byte> packed(backend.PackedBytes(n, k));
+        backend.Pack(w.data(), n, k, packed.data());
+        std::vector<float> decoded(w.size());
+        for (std::int64_t row = 0; row < n; ++row) {
+          backend.DecodeRow(packed.data(), n, k, row, decoded.data() + row * k);
+        }
+        const std::vector<float> opb = OpB(decoded, true, k, n);
+        for (std::int64_t m = 1; m <= 9; ++m) {
+          const auto a = RandomVec(static_cast<std::size_t>(m * k), rng);
+          const auto c0 = RandomVec(static_cast<std::size_t>(m * n), rng);
+          const float alpha = kContractAlphas[combo % 2];
+          const float beta = kContractBetas[combo % 3];
+          ++combo;
+          std::vector<float> want = c0;
+          ContractGemm(false, m, n, k, alpha, a.data(), opb.data(), beta,
+                       want.data());
+          std::vector<float> got = c0;
+          backend.GemmWeightT(m, n, k, alpha, a.data(), packed.data(), beta,
+                              got.data());
+          ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << name << " " << m << "x" << n << "x" << k
+              << " alpha=" << alpha << " beta=" << beta;
         }
       }
     }

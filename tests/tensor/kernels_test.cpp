@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "tensor/fast_exp.hpp"
 
 namespace zero::tensor {
 namespace {
@@ -313,6 +314,70 @@ TEST(SoftmaxTest, PaddedRowMatchesUnpadded) {
         << "len " << len;
     for (std::int64_t c = len; c < kFull; ++c) {
       EXPECT_EQ(b[static_cast<std::size_t>(c)], 0.0f);
+    }
+  }
+}
+
+// The softmax row as it was with one serial std::max fold for the row
+// max: the reference the lane-parallel max must reproduce bit for bit.
+void SerialMaxSoftmaxRow(float* x, std::int64_t cols) {
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::int64_t c = 0; c < cols; ++c) mx = std::max(mx, x[c]);
+  for (std::int64_t c = 0; c < cols; ++c) x[c] = detail::ExpF(x[c] - mx);
+  float sum = 0.0f;
+  for (std::int64_t c = 0; c < cols; ++c) sum += x[c];
+  const float inv = 1.0f / sum;
+  for (std::int64_t c = 0; c < cols; ++c) x[c] *= inv;
+}
+
+// Rows whose max is ambiguous to a reordered fold: +0/-0 ties at the
+// max, NaNs (std::max skips them), +-Inf, and fully or partly
+// -inf-masked rows, at every length from 1 past the 16-lane blocks.
+TEST(SoftmaxTest, LaneMaxMatchesSerialMax) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(43);
+  for (std::int64_t cols = 1; cols <= 130; ++cols) {
+    const auto at = [&] {
+      return static_cast<std::size_t>(
+          rng.NextBelow(static_cast<std::uint64_t>(cols)));
+    };
+    for (int variant = 0; variant < 7; ++variant) {
+      std::vector<float> row(static_cast<std::size_t>(cols));
+      for (float& v : row) v = rng.NextGaussian() * 4.0f;
+      switch (variant) {
+        case 0:  // finite
+          break;
+        case 1:  // the max is a zero, held as +0 and -0 in several lanes
+          for (float& v : row) v = -std::abs(v) - 0.5f;
+          for (int z = 0; z < 6; ++z) row[at()] = (z % 2 == 0) ? -0.0f : 0.0f;
+          break;
+        case 2:  // NaNs
+          row[at()] = nan;
+          row[at()] = -nan;
+          break;
+        case 3:  // +Inf (every output NaN) and -Inf entries
+          row[at()] = inf;
+          row[at()] = -inf;
+          break;
+        case 4:  // -Inf entries around a finite max
+          for (int z = 0; z < 5; ++z) row[at()] = -inf;
+          break;
+        case 5:  // fully masked
+          std::fill(row.begin(), row.end(), -inf);
+          break;
+        case 6:  // causal mask: -inf past a random position
+          std::fill(row.begin() + static_cast<std::ptrdiff_t>(at()) + 1,
+                    row.end(), -inf);
+          break;
+      }
+      std::vector<float> want = row;
+      SerialMaxSoftmaxRow(want.data(), cols);
+      std::vector<float> got = row;
+      SoftmaxRows(got.data(), 1, cols);
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), row.size() * sizeof(float)),
+                0)
+          << "cols " << cols << " variant " << variant;
     }
   }
 }
