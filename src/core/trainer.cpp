@@ -101,6 +101,10 @@ TrainResult TrainGpt(const TrainOptions& options) {
   TrainResult result;
   result.losses.assign(static_cast<std::size_t>(options.steps), 0.0f);
   result.ranks.resize(static_cast<std::size_t>(world_size));
+  // Each rank's step losses, kept apart until the join so the DP mean
+  // below sums them in rank order, not in thread completion order.
+  std::vector<std::vector<float>> rank_losses(
+      static_cast<std::size_t>(world_size));
   std::mutex result_mutex;
 
   const comm::World::RunReport run = world.TryRun([&](comm::RankContext&
@@ -289,14 +293,18 @@ TrainResult TrainGpt(const TrainOptions& options) {
       result.oom_message = oom_message;
     }
     if (!rank_oom && grid.MpRank(ctx.rank) == 0) {
-      // Average losses over the DP group (MP ranks share the same loss).
-      for (int s = 0; s < options.steps; ++s) {
-        result.losses[static_cast<std::size_t>(s)] +=
-            local_losses[static_cast<std::size_t>(s)] /
-            static_cast<float>(options.cluster.dp_degree);
-      }
+      rank_losses[static_cast<std::size_t>(ctx.rank)] =
+          std::move(local_losses);
     }
   });
+
+  // Average losses over the DP group (MP ranks share the same loss).
+  for (const std::vector<float>& losses : rank_losses) {
+    for (std::size_t s = 0; s < losses.size(); ++s) {
+      result.losses[s] +=
+          losses[s] / static_cast<float>(options.cluster.dp_degree);
+    }
+  }
 
   if (!run.ok()) {
     // Injected faults and comm failures are expected outcomes of a

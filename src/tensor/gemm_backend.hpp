@@ -13,9 +13,9 @@
 //             identical tensor::Gemm, so serving through it stays
 //             memcmp-bit-exact with the trainer's eval forward.
 //   "fp16"  — Half storage pre-packed into the GEMM's micro-panel
-//             layout (kernels.hpp PackHalfPanelsT), so the per-call B
-//             pack is one contiguous bulk decode; no fp32 copy of the
-//             weights is ever materialized.
+//             layout (kernels.hpp PackHalfPanelsT), read in place by
+//             the micro-kernel and widened in registers; no fp32 copy
+//             of the weights, not even a per-call tile, is materialized.
 //   "int8"  — blockwise-int8 codes (tensor/quantize wire discipline)
 //             with the per-block scales pre-decoded to fp32; ~4x
 //             smaller than fp32, bounded per-element error absmax/127.

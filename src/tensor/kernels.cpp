@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #if defined(__AVX512F__)
@@ -269,11 +270,37 @@ void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
 // C_tile[mr_e, nr_e] += packed-A panel x packed-B panel. Padded lanes
 // (r >= mr_e, j >= nr_e) compute values that are never written back.
 // Each accumulator runs the contract's chain: a fused multiply-add per
-// kk, in k order from +0, then one add into C.
+// kk, in k order from +0, then one add into C. The B panel holds fp32
+// (a filled scratch tile) or fp16 (pre-packed serving weights); the B
+// load is the one step that differs: fp16 is widened in registers, to
+// bitwise the floats a decoded fp32 tile would hold.
 #if defined(__AVX512F__)
+// One kk row of a B panel (kNr values) as two 16-float vectors.
+struct BRow {
+  __m512 lo;
+  __m512 hi;
+};
+inline BRow LoadBRow(const float* p) {
+  return {_mm512_loadu_ps(p), _mm512_loadu_ps(p + 16)};
+}
+// A fp16 row is one cache line. The pre-packed panels stream from L3 or
+// memory (a decode step reads each weight once), so the row 32 ahead is
+// fetched now; past the panel's end that is the next panel, or nothing.
+// VCVTPH2PS is exact on every half except that it quiets a signalling
+// NaN; the panels never hold one (PackHalfPanelsT's encoder quiets
+// NaNs), so the widened row equals the decode table lane for lane.
+inline BRow LoadBRow(const Half* p) {
+  _mm_prefetch(reinterpret_cast<const char*>(p + 32 * kNr), _MM_HINT_T0);
+  return {_mm512_cvtph_ps(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))),
+          _mm512_cvtph_ps(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)))};
+}
+
 // The 8 x 32 tile in 16 zmm accumulators; masked loads and stores cover
 // the n edge.
-void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
+template <class BElem>
+void MicroKernel(std::int64_t kc, const float* pa, const BElem* pb, float* c,
                  std::int64_t ldc, std::int64_t mr_e, std::int64_t nr_e) {
   static_assert(kNr == 32, "the AVX-512 tile is two 16-float vectors wide");
   // Every loop over r is fully unrolled, so each accumulator index is a
@@ -293,14 +320,13 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
   }
 #pragma GCC unroll 4
   for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const __m512 b0 = _mm512_loadu_ps(pb + kk * kNr);
-    const __m512 b1 = _mm512_loadu_ps(pb + kk * kNr + 16);
+    const BRow b = LoadBRow(pb + kk * kNr);
     const float* arow = pa + kk * kMr;
 #pragma GCC unroll 8
     for (int r = 0; r < kMr; ++r) {
       const __m512 av = _mm512_set1_ps(arow[r]);
-      acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
-      acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+      acc0[r] = _mm512_fmadd_ps(av, b.lo, acc0[r]);
+      acc1[r] = _mm512_fmadd_ps(av, b.hi, acc1[r]);
     }
   }
   const auto lane_mask = [](std::int64_t valid) {
@@ -322,13 +348,21 @@ void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
   }
 }
 #else
+inline float WidenB(float b, const float*) { return b; }
+inline float WidenB(Half b, const float* lut) { return lut[b.bits()]; }
+
 // Compile-time bounds let the compiler unroll and vectorize the j loop.
-void MicroKernel(std::int64_t kc, const float* pa, const float* pb, float* c,
+template <class BElem>
+void MicroKernel(std::int64_t kc, const float* pa, const BElem* pb, float* c,
                  std::int64_t ldc, std::int64_t mr_e, std::int64_t nr_e) {
+  const float* lut = std::is_same_v<BElem, Half> ? HalfDecodeTable() : nullptr;
   float acc[kMr][kNr] = {};
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const float* arow = pa + kk * kMr;
-    const float* brow = pb + kk * kNr;
+    float brow[kNr];
+    for (std::int64_t j = 0; j < kNr; ++j) {
+      brow[j] = WidenB(pb[kk * kNr + j], lut);
+    }
     for (std::int64_t r = 0; r < kMr; ++r) {
       const float av = arow[r];
       for (std::int64_t j = 0; j < kNr; ++j) {
@@ -372,27 +406,40 @@ std::int64_t ForEachBTile(std::int64_t n, std::int64_t k, Fn&& fn) {
   return base;
 }
 
-// The one packed loop nest (BLIS jc/pc/ib/jr/ir). `fill_b(jc, nc, pc, kc,
-// base, pb)` writes the fp32 B tile for columns [jc, jc+nc) x k-range
-// [pc, pc+kc) into pb in PackB's micro-panel layout; each operand
-// encoding brings its own filler, and everything downstream of pb (A
-// packing, the micro-kernel, the row-block partition) is shared, so the
-// float pipeline is element-for-element the same for every encoding.
-template <class FillB>
+// The one packed loop nest (BLIS jc/pc/ib/jr/ir). The B operand `b` is
+// either a filler `b(jc, nc, pc, kc, pb)` that writes the fp32 tile for
+// columns [jc, jc+nc) x k-range [pc, pc+kc) into a scratch tile in
+// PackB's micro-panel layout, or a `const Half*` to fp16 panels
+// pre-packed in that layout, read in place at each tile's `base`. Each
+// operand encoding brings its own B operand, and everything downstream
+// of the tile (A packing, the micro-kernel's A broadcast, FMA chain and
+// C update, the row-block partition) is shared, so the float pipeline
+// is element-for-element the same for every encoding.
+template <class B>
 void PackedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
-                float alpha, const float* a, const FillB& fill_b, float* c) {
+                float alpha, const float* a, const B& b, float* c) {
+  constexpr bool kHalfPanels = std::is_same_v<B, const Half*>;
   alloc::ScratchArena& scratch = alloc::ThreadScratch();
   alloc::ScratchGuard guard(scratch);
-  const std::int64_t nc_max = std::min(n, kNc);
-  const std::int64_t b_panels = (nc_max + kNr - 1) / kNr;
-  float* pb = scratch.AllocateT<float>(
-      static_cast<std::size_t>(b_panels * kKc * kNr));
+  float* tile = nullptr;
+  if constexpr (!kHalfPanels) {
+    const std::int64_t b_panels = (std::min(n, kNc) + kNr - 1) / kNr;
+    tile = scratch.AllocateT<float>(
+        static_cast<std::size_t>(b_panels * kKc * kNr));
+  }
   const std::int64_t n_iblocks = (m + kMc - 1) / kMc;
 
   ForEachBTile(n, k, [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
                          std::int64_t kc, std::int64_t base) {
     const std::int64_t jr_panels = (nc + kNr - 1) / kNr;
-    fill_b(jc, nc, pc, kc, base, pb);
+    const auto* pb = [&] {
+      if constexpr (kHalfPanels) {
+        return b + base;
+      } else {
+        b(jc, nc, pc, kc, tile);
+        return static_cast<const float*>(tile);
+      }
+    }();
     // Row blocks are independent: each C element accumulates its
     // kc-panel contribution in the same serial order no matter which
     // worker owns the block (the pc loop is a barrier).
@@ -407,7 +454,7 @@ void PackedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
         PackA(a, trans_a, m, k, i0, mc, pc, kc, alpha, pa);
         const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
         for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
-          const float* pbp = pb + jr * kc * kNr;
+          const auto* pbp = pb + jr * kc * kNr;
           const std::int64_t j0 = jc + jr * kNr;
           const std::int64_t nr_e = std::min<std::int64_t>(kNr, n - j0);
           for (std::int64_t ir = 0; ir < ir_panels; ++ir) {
@@ -449,13 +496,13 @@ void ScaleAndDispatch(std::int64_t m, std::int64_t n, std::int64_t k,
 // Reduced-precision weight operands W[n, k], used transposed. The small
 // path decodes the (bounded: n * k <= kSmallGemmFlops) weight tile row by
 // row into thread scratch and feeds it to SmallGemm; the packed path
-// swaps only the B filler. Either way the floats reaching the per-element
-// chain are the decoded weights, so the result is bitwise the
-// decoded-fp32 Gemm.
-template <class DecodeRow, class FillB>
+// swaps only the B operand. Either way the floats reaching the
+// per-element chain are the decoded weights, so the result is bitwise
+// the decoded-fp32 Gemm.
+template <class DecodeRow, class B>
 void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const float* a, const DecodeRow& decode_row,
-                 const FillB& fill_b, float beta, float* c) {
+                 const float* a, const DecodeRow& decode_row, const B& b,
+                 float beta, float* c) {
   ScaleAndDispatch(
       m, n, k, beta, c,
       [&] {
@@ -467,7 +514,7 @@ void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         }
         SmallGemm(false, true, m, n, k, alpha, a, wf, c);
       },
-      [&] { PackedGemm(false, m, n, k, alpha, a, fill_b, c); });
+      [&] { PackedGemm(false, m, n, k, alpha, a, b, c); });
 }
 
 // Blockwise-int8 elements [idx, idx+len) of W to fp32. The run is split
@@ -503,7 +550,7 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       [&] {
         PackedGemm(trans_a, m, n, k, alpha, a,
                    [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
-                       std::int64_t kc, std::int64_t, float* pb) {
+                       std::int64_t kc, float* pb) {
                      PackB(b, trans_b, k, n, pc, kc, jc, nc, pb);
                    },
                    c);
@@ -523,7 +570,7 @@ void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
       // contiguous in W: decoded in one call, then scattered into the
       // kNr-interleaved panel.
       [&](std::int64_t jc, std::int64_t nc, std::int64_t pc, std::int64_t kc,
-          std::int64_t, float* pb) {
+          float* pb) {
         float tmp[kKc];
         const std::int64_t panels = (nc + kNr - 1) / kNr;
         for (std::int64_t p = 0; p < panels; ++p) {
@@ -599,15 +646,10 @@ void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
       [&](std::int64_t row, float* dst) {
         DecodeHalfPanelRow(panels, n, k, row, dst);
       },
-      // The pre-packed tile is bitwise the floats the strided pack would
-      // produce (padded lanes are stored as fp16 zero), so the B fill is
-      // one contiguous bulk decode.
-      [&](std::int64_t, std::int64_t nc, std::int64_t, std::int64_t kc,
-          std::int64_t base, float* pb) {
-        HalfToFloat(panels + base, pb,
-                    static_cast<std::size_t>((nc + kNr - 1) / kNr * kc * kNr));
-      },
-      beta, c);
+      // The pre-packed tiles are PackB's layout (padded lanes stored as
+      // fp16 zero): the micro-kernel reads them in place and widens each
+      // B load in registers, so no fp32 B tile exists.
+      panels, beta, c);
 }
 
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,

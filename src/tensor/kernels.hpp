@@ -5,8 +5,9 @@
 // micro-kernel (BLIS-style: A/B panels are packed into contiguous tile
 // buffers from thread-local scratch so all four transpose cases hit the
 // same cache-friendly inner loop). One loop nest serves every operand
-// encoding — fp32 B, int8 and fp16 serving weights differ only in how
-// a B tile is filled. The large kernels partition their
+// encoding — fp32 B and int8 serving weights differ only in how the
+// fp32 B tile is filled, and fp16 serving weights are read in place and
+// widened in the micro-kernel's registers. The large kernels partition their
 // output rows across the opt-in intra-op worker pool (parallel_for.hpp).
 //
 // Determinism contract: every kernel returns bitwise-identical results
@@ -46,8 +47,8 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 // with A fp32 activations. No persistent fp32 copy of W exists. Each
 // entry point runs Gemm's own dispatch and loop nest with only the
 // weight read swapped: the small path decodes the (bounded) weight tile
-// into thread scratch, the packed path decodes each B tile as it is
-// packed. Both produce bitwise the result of decoding W to fp32 and
+// into thread scratch, the packed path decodes each int8 B tile as it
+// is packed and widens fp16 B in registers. Both produce bitwise the result of decoding W to fp32 and
 // calling Gemm(false, true, ...) — same dispatch threshold, same
 // kernels, same summation order.
 //
@@ -61,9 +62,11 @@ void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
 
 // fp16 W, pre-packed once at load into the exact tile and micro-panel
 // layout the packed GEMM's B pack produces (kNr-column panels per
-// (column-block, k-block) tile, zero-padded past n). Per call, the B
-// pack is then one contiguous bulk AVX-512 decode of each tile — the
-// same fp32 panel contents through the same micro-kernel.
+// (column-block, k-block) tile, zero-padded past n). Per call there is
+// no B pack and no fp32 B tile: the micro-kernel reads the panels in
+// place and widens each B load in registers, to the same floats the
+// decode table gives (the encoder quiets NaNs, so the panels hold no
+// signalling NaN for the hardware widening to change).
 [[nodiscard]] std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k);
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst);

@@ -166,8 +166,8 @@ class WorkerPool {
   std::exception_ptr error_ = nullptr;
 };
 
-// Each calling thread lazily owns a pool sized to the current budget;
-// resized (recreated) when the budget changes between calls.
+// Each calling thread lazily owns a pool sized to the worker budget
+// alone; recreated only when the budget changes between calls.
 WorkerPool* ThreadPool(int helpers) {
   thread_local std::unique_ptr<WorkerPool> pool;
   if (pool == nullptr || pool->helpers() != helpers) {
@@ -212,13 +212,14 @@ void ParallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
     }
     return;
   }
-  const int helpers =
-      static_cast<int>(std::min<std::int64_t>(workers - 1, nchunks - 1));
   // Only the pooled path gets a span: the serial path above runs inside
   // tight per-kernel loops where even a disabled span's check would show
   // up in the kernel microbenchmarks.
   TRACE_SPAN("tensor/parallel_for");
-  ThreadPool(helpers)->Run(begin, end, grain, nchunks, fn);
+  // The pool is sized by the budget, not by this call's chunk count, so
+  // alternating few- and many-chunk kernels reuse one set of threads;
+  // helpers left without a chunk find none to claim and go back to wait.
+  ThreadPool(workers - 1)->Run(begin, end, grain, nchunks, fn);
 }
 
 }  // namespace zero::tensor

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace zero::core {
 namespace {
 
@@ -45,6 +48,29 @@ TEST(TrainerTest, DeterministicAcrossRuns) {
     EXPECT_EQ(a.losses[i], b.losses[i]);
   }
   EXPECT_EQ(a.MaxPeakCached(), b.MaxPeakCached());
+}
+
+// The reported loss is the DP mean of the ranks' losses, summed in rank
+// order: at dp = 4 the float sum's last bits would otherwise follow the
+// order in which rank threads finish. A straggler on rank 0's or on
+// rank 3's last step changes that order, not the reported losses.
+TEST(TrainerTest, DpMeanLossIndependentOfRankCompletionOrder) {
+  std::vector<std::vector<float>> runs;
+  for (const char* spec : {"slow@0:step#4=30ms", "slow@3:step#4=30ms"}) {
+    TrainOptions opt = SmallOptions();
+    opt.model.vocab = 61;
+    opt.model.hidden = 16;
+    opt.cluster.dp_degree = 4;
+    opt.steps = 4;
+    opt.engine.fault_spec = spec;
+    const TrainResult result = TrainGpt(opt);
+    ASSERT_FALSE(result.failed) << result.failure_message;
+    ASSERT_EQ(result.losses.size(), 4u);
+    runs.push_back(result.losses);
+  }
+  EXPECT_EQ(std::memcmp(runs[0].data(), runs[1].data(),
+                        runs[0].size() * sizeof(float)),
+            0);
 }
 
 TEST(TrainerTest, MpTimesDpGrid) {

@@ -14,6 +14,7 @@
 #include "comm/communicator.hpp"
 #include "comm/world.hpp"
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "model/flat_model.hpp"
 
 namespace zero::serve {
@@ -41,9 +42,10 @@ std::vector<float> FullWeights(const model::GptConfig& cfg,
   return full;
 }
 
-InferenceOptions TestOptions(const std::string& weights) {
+InferenceOptions TestOptions(const std::string& weights,
+                             const model::GptConfig& cfg = TestConfig()) {
   InferenceOptions o;
-  o.model = TestConfig();
+  o.model = cfg;
   o.kv_block_tokens = 4;
   o.kv_max_blocks = 64;
   o.record_metrics = false;
@@ -148,6 +150,43 @@ TEST(WeightsPrecision, Fp16GreedyEquivalentWithBoundedLogitError) {
   EXPECT_LT(e16.weights().weight_bytes(),
             static_cast<std::size_t>(
                 0.6 * static_cast<double>(e32.weights().weight_bytes())));
+}
+
+// The fp16 engine reads every matrix entry as its fp16 rounding, through
+// the same GEMM chain as fp32: its per-step logits are bitwise those of
+// an fp32 engine loaded with the matrix entries pre-rounded to fp16. At
+// hidden 32 the projections take the small GEMM path; at hidden 512
+// (the serving benchmark's width) they take the packed path, where the
+// micro-kernel widens the fp16 panels in registers.
+TEST(WeightsPrecision, Fp16LogitsMemcmpFp32OnPreRoundedWeights) {
+  for (const std::int64_t hidden : {32, 512}) {
+    model::GptConfig cfg = TestConfig();
+    cfg.hidden = hidden;
+    cfg.heads = hidden == 32 ? 2 : 8;
+    const std::vector<float> full = FullWeights(cfg, 0x715EC0);
+    std::vector<float> rounded = full;
+    const model::GptModel layout_model(cfg, {});
+    for (const model::ParamEntry& e : layout_model.layout().entries()) {
+      if (e.rows == 0) continue;
+      for (std::int64_t i = e.offset; i < e.offset + e.numel; ++i) {
+        float& x = rounded[static_cast<std::size_t>(i)];
+        x = Half(x).ToFloat();
+      }
+    }
+    InferenceEngine e32(TestOptions("fp32", cfg), {});
+    e32.LoadFullWeights(rounded);
+    InferenceEngine e16(TestOptions("fp16", cfg), {});
+    e16.LoadFullWeights(full);
+    const auto want = DecodeLogits(e32, kPrompt, 6);
+    const auto got = DecodeLogits(e16, kPrompt, 6);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(std::memcmp(want[i].data(), got[i].data(),
+                            want[i].size() * sizeof(float)),
+                0)
+          << "hidden " << hidden << " step " << i;
+    }
+  }
 }
 
 TEST(WeightsPrecision, Int8GreedyEquivalentWithBoundedLogitError) {

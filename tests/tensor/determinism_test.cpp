@@ -16,10 +16,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/half.hpp"
 #include "common/rng.hpp"
 #include "optim/adam.hpp"
 #include "tensor/gemm_backend.hpp"
@@ -309,6 +311,64 @@ TEST(DeterminismTest, WeightGemmMatchesContractReference) {
       }
     }
   }
+}
+
+// The fp16 B operand is widened in the micro-kernel's registers, with no
+// fp32 tile in between; it must still be bitwise Gemm on the decoded
+// panels. The weights run through every half pattern (±0, subnormals,
+// ±Inf, NaN payloads: the LUT decodes of all 65536, re-encoded by the
+// panel pack), A carries NaN and ±Inf too, and n = 2048 spans several
+// 32-column panels with a masked n edge elsewhere.
+TEST(DeterminismTest, HalfPanelGemmMatchesGemmOnDecodedPanels) {
+  Rng rng(59);
+  const float* lut = HalfDecodeTable();
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 1; m <= 17; ++m) ms.push_back(m);
+  ms.push_back(64);
+  std::uint32_t pattern = 0;
+  int combo = 0;
+  for (const std::int64_t k : {1, 127, 129, 257}) {
+    for (const std::int64_t n : {1, 31, 33, 100, 2048}) {
+      std::vector<float> w(static_cast<std::size_t>(n * k));
+      for (float& x : w) x = lut[pattern++ & 0xFFFFu];
+      std::vector<Half> panels(
+          static_cast<std::size_t>(HalfPanelElems(n, k)));
+      PackHalfPanelsT(w.data(), n, k, panels.data());
+      for (const Half h : panels) {
+        // A signalling NaN: all-ones exponent, nonzero mantissa, quiet
+        // bit clear. The in-register widening would quiet it.
+        ASSERT_FALSE(h.IsNan() && (h.bits() & 0x0200u) == 0)
+            << "signalling NaN 0x" << std::hex << h.bits() << " in panels";
+      }
+      std::vector<float> decoded(w.size());
+      for (std::int64_t row = 0; row < n; ++row) {
+        DecodeHalfPanelRow(panels.data(), n, k, row,
+                           decoded.data() + row * k);
+      }
+      for (const std::int64_t m : ms) {
+        auto a = RandomVec(static_cast<std::size_t>(m * k), rng);
+        a[static_cast<std::size_t>(combo) % a.size()] =
+            std::numeric_limits<float>::quiet_NaN();
+        a[static_cast<std::size_t>(combo * 7 + 3) % a.size()] =
+            std::numeric_limits<float>::infinity();
+        a[static_cast<std::size_t>(combo * 13 + 5) % a.size()] =
+            -std::numeric_limits<float>::infinity();
+        const float alpha = kContractAlphas[combo % 2];
+        ++combo;
+        std::vector<float> want(static_cast<std::size_t>(m * n));
+        Gemm(false, true, m, n, k, alpha, a.data(), decoded.data(), 0.0f,
+             want.data());
+        std::vector<float> got(want.size());
+        GemmHalfPanelsT(m, n, k, alpha, a.data(), panels.data(), 0.0f,
+                        got.data());
+        ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << m << "x" << n << "x" << k << " alpha=" << alpha;
+      }
+    }
+  }
+  EXPECT_GE(pattern, 1u << 16);
 }
 
 TEST(DeterminismTest, LayerNormForwardBackwardBitwise) {

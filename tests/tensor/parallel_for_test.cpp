@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 namespace zero::tensor {
@@ -95,6 +97,23 @@ TEST(ParallelForTest, NestedCallsRunSerially) {
     }
   });
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+// The pool is sized by the worker budget, not by each call's chunk
+// count: alternating few- and many-chunk calls reuse the same threads
+// instead of joining and respawning helpers on every change.
+TEST(ParallelForTest, PoolSurvivesChangingChunkCounts) {
+  IntraOpWorkersGuard guard(4);
+  std::mutex mu;
+  std::set<pid_t> tids;
+  for (int call = 0; call < 200; ++call) {
+    const std::int64_t chunks = call % 2 == 0 ? 2 : 64;
+    ParallelFor(0, chunks, 1, [&](std::int64_t, std::int64_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      tids.insert(gettid());
+    });
+  }
+  EXPECT_LE(tids.size(), 4u);
 }
 
 TEST(ParallelForTest, WorkerBudgetClampAndReset) {
