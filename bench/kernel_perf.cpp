@@ -239,6 +239,49 @@ int main(int argc, char** argv) {
     rep.Add("gemm_attn_128x128x32_gflops", flops / t / 1e9);
   }
 
+  // ---- decode attention: per-head scores and context, strided ----
+  // The serving benchmark's heads (hidden 512, hd 64) at decode m and
+  // cached lengths, read in place as decode reads them: Q from [m, 3H]
+  // qkv rows, K and V from a [k_len, 2H] gather of the cached prefix, the
+  // context written into [m, H] rows. These shapes are a few thousand to
+  // a few hundred thousand flops each.
+  {
+    const std::int64_t hidden = 512, hd = 64, heads = hidden / hd;
+    const std::int64_t ms[] = {1, 2, 4, 8};
+    const std::int64_t k_lens[] = {24, 64, 128};
+    const auto qkv = RandVec(static_cast<std::size_t>(8 * 3 * hidden), 16);
+    const auto kv = RandVec(static_cast<std::size_t>(128 * 2 * hidden), 17);
+    std::vector<float> probs(static_cast<std::size_t>(8 * 128));
+    std::vector<float> ctx(static_cast<std::size_t>(8 * hidden));
+    double flops = 0.0;
+    for (const std::int64_t m : ms) {
+      for (const std::int64_t k_len : k_lens) {
+        flops += heads * 2.0 * (2.0 * m * k_len * hd);
+      }
+    }
+    constexpr int kCalls = 20;
+    zero::tensor::IntraOpWorkersGuard guard(1);
+    const double t = BestSeconds([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        for (const std::int64_t m : ms) {
+          for (const std::int64_t k_len : k_lens) {
+            for (std::int64_t h = 0; h < heads; ++h) {
+              zero::tensor::Gemm(false, true, m, k_len, hd, 0.125f,
+                                 qkv.data() + h * hd, 3 * hidden,
+                                 kv.data() + h * hd, 2 * hidden, 0.0f,
+                                 probs.data(), k_len);
+              zero::tensor::Gemm(false, false, m, hd, k_len, 1.0f,
+                                 probs.data(), k_len,
+                                 kv.data() + hidden + h * hd, 2 * hidden,
+                                 0.0f, ctx.data() + h * hd, hidden);
+            }
+          }
+        }
+      }
+    });
+    rep.Add("gemm_decode_attn_gflops", kCalls * flops / t / 1e9);
+  }
+
   // ---- fp16 serving weights at decode m: the four hidden-512 shapes ----
   // (n, k) of the QKV, attention-out, MLP-fc and MLP-proj weights, m = 8
   // (a full decode batch), through the pre-packed fp16 panels and through

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, the tensor and serve suites in
-# a portable (non-AVX-512) build, the common, comm, obs, optim, tensor, model,
+# CI entry point: release build + tests, the tensor, model and serve
+# suites in a portable (non-AVX-512) build, the common, comm, obs, optim, tensor, model,
 # serve, alloc and sim suites under AddressSanitizer + UBSan, then the
 # whole suite again under ThreadSanitizer. The runtime is thread-per-rank
 # SPMD over mailboxes, so TSan is the check that actually matters for the
@@ -16,15 +16,18 @@ cmake --preset release >/dev/null
 cmake --build --preset release -j "${JOBS}"
 ctest --preset release -j "${JOBS}"
 
-echo "==> portable: non-AVX-512 build of the tensor and serve suites"
+echo "==> portable: non-AVX-512 build of the tensor, model and serve suites"
 # Without -march=native the kernels compile to their generic loops (no
 # __AVX512F__): this keeps that fallback building and holds it to the
 # same bitwise tests, DESIGN.md §9's contract reference among them. The
-# serve suite runs the fp16 serving weights through the generic
-# micro-kernel's per-element B widening end to end.
+# model suite runs the strided attention forward and backward through
+# the generic micro-kernel, and the serve suite runs the fp16 serving
+# weights through its per-element B widening end to end.
 cmake -S . -B build-portable -DZERO_NATIVE_ARCH=OFF >/dev/null
-cmake --build build-portable --target test_tensor test_serve -j "${JOBS}"
+cmake --build build-portable --target test_tensor test_model test_serve \
+  -j "${JOBS}"
 ./build-portable/tests/test_tensor
+./build-portable/tests/test_model
 ./build-portable/tests/test_serve
 
 echo "==> bench: kernel perf gate (release build)"

@@ -1,6 +1,11 @@
 #include "core/state_checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -109,11 +114,29 @@ TrainingState TrainingState::Deserialize(std::span<const std::byte> bytes) {
 
 void TrainingState::SaveToFile(const std::string& path) const {
   const std::vector<std::byte> bytes = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ZERO_CHECK(out.good(), "cannot open checkpoint file for writing: " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ZERO_CHECK(out.good(), "checkpoint write failed: " + path);
+  const std::string tmp = path + ".tmp";
+  // Reads errno first, then removes the partial temp file; the file at
+  // `path` is never touched before the rename.
+  const auto fail = [&](const char* what, int fd) {
+    const std::string reason = std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    throw Error("checkpoint save to " + path + " failed: " + what + " " +
+                tmp + ": " + reason);
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) fail("cannot open", fd);
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) fail("cannot write", fd);
+    done += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) fail("cannot fsync", fd);
+  if (::close(fd) != 0) fail("cannot close", -1);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename", -1);
 }
 
 TrainingState TrainingState::LoadFromFile(const std::string& path) {

@@ -37,7 +37,10 @@ struct TrainingState {
   [[nodiscard]] std::vector<std::byte> Serialize() const;
   static TrainingState Deserialize(std::span<const std::byte> bytes);
 
-  // Convenience file round trip (used by the examples).
+  // File round trip. The save is crash-safe: the bytes go to the sibling
+  // `path + ".tmp"`, which is fsync'ed and then renamed over `path`, so a
+  // save that fails (zero::Error) or dies part way leaves the previous
+  // file at `path` whole.
   void SaveToFile(const std::string& path) const;
   static TrainingState LoadFromFile(const std::string& path);
 

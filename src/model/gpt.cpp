@@ -1,5 +1,6 @@
 #include "model/gpt.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -45,37 +46,6 @@ Rng RowStream(std::uint64_t seed, ParamCode code, std::int64_t layer,
 
 void CopyFloats(float* dst, const float* src, std::int64_t n) {
   std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
-}
-
-// Copy head-sliced columns [col0, col0+lh*hd) of src [B*S, row_width]
-// into dst laid out as [B*lh, S, hd] with contiguous (S, hd) per head.
-void SplitHeads(const float* src, std::int64_t row_width, std::int64_t col0,
-                float* dst, std::int64_t b_count, std::int64_t s_count,
-                std::int64_t lh, std::int64_t hd) {
-  for (std::int64_t b = 0; b < b_count; ++b) {
-    for (std::int64_t h = 0; h < lh; ++h) {
-      for (std::int64_t s = 0; s < s_count; ++s) {
-        const float* from = src + (b * s_count + s) * row_width + col0 + h * hd;
-        float* to = dst + ((b * lh + h) * s_count + s) * hd;
-        std::memcpy(to, from, static_cast<std::size_t>(hd) * sizeof(float));
-      }
-    }
-  }
-}
-
-// Inverse of SplitHeads (writes into the given column range of dst rows).
-void MergeHeads(const float* src, float* dst, std::int64_t row_width,
-                std::int64_t col0, std::int64_t b_count, std::int64_t s_count,
-                std::int64_t lh, std::int64_t hd) {
-  for (std::int64_t b = 0; b < b_count; ++b) {
-    for (std::int64_t h = 0; h < lh; ++h) {
-      for (std::int64_t s = 0; s < s_count; ++s) {
-        const float* from = src + ((b * lh + h) * s_count + s) * hd;
-        float* to = dst + (b * s_count + s) * row_width + col0 + h * hd;
-        std::memcpy(to, from, static_cast<std::size_t>(hd) * sizeof(float));
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -342,13 +312,21 @@ void GptModel::BlockForward(const UnitWeights& w, const float* x_in,
                       st.ln1_rstd.f32().data(), rows, h, config_.ln_eps);
 
   // qkv projection (column-parallel), then attention into st.ctx.
-  Tensor qkv = NewAct({rows, 3 * hm});
-  w.GemmT(lo_.w_qkv, rows, 3 * hm, h, st.a.f32().data(), qkv.f32().data());
-  K::AddBiasRows(qkv.f32().data(), w.Vec(lo_.b_qkv), rows, 3 * hm);
+  st.qkv = NewAct({rows, 3 * hm});
+  float* qkv = st.qkv.f32().data();
+  w.GemmT(lo_.w_qkv, rows, 3 * hm, h, st.a.f32().data(), qkv);
+  K::AddBiasRows(qkv, w.Vec(lo_.b_qkv), rows, 3 * hm);
   if (decode != nullptr) {
-    CachedAttention(std::move(qkv), *decode, st);
+    CachedAttention(*decode, st);
+    st.qkv = Tensor();  // decode keeps no stash past the attention step
   } else {
-    CausalAttention(std::move(qkv), rows, st);
+    const std::int64_t lh = LocalHeads();
+    const std::int64_t s_count = config_.seq;
+    const std::int64_t b_count = rows / s_count;
+    st.att = NewAct({b_count * lh, s_count, s_count});
+    st.ctx = NewAct({rows, hm});
+    Attend(b_count, s_count, s_count, qkv, 3 * hm, qkv + hm, 3 * hm,
+           st.att.f32().data(), st.ctx.f32().data(), hm);
   }
 
   // Attention output projection (row-parallel): partial matmul, then
@@ -396,112 +374,82 @@ void GptModel::BlockForward(const UnitWeights& w, const float* x_in,
   }
 }
 
-void GptModel::CausalAttention(Tensor qkv, std::int64_t bs,
-                               LayerStash& st) const {
+void GptModel::Attend(std::int64_t seqs, std::int64_t q_len,
+                      std::int64_t k_len, const float* q, std::int64_t ldq,
+                      const float* kv, std::int64_t ldkv, float* probs,
+                      float* ctx, std::int64_t ldctx) const {
   namespace K = tensor;
   const std::int64_t hm = config_.hidden / mp_size();
   const std::int64_t lh = LocalHeads();
   const std::int64_t hd = config_.hidden / config_.heads;
-  const std::int64_t b_count = bs / config_.seq;
-  const std::int64_t s_count = config_.seq;
-
-  st.q = NewAct({b_count * lh, s_count, hd});
-  st.k = NewAct({b_count * lh, s_count, hd});
-  st.v = NewAct({b_count * lh, s_count, hd});
-  SplitHeads(qkv.f32().data(), 3 * hm, 0, st.q.f32().data(), b_count,
-             s_count, lh, hd);
-  SplitHeads(qkv.f32().data(), 3 * hm, hm, st.k.f32().data(), b_count,
-             s_count, lh, hd);
-  SplitHeads(qkv.f32().data(), 3 * hm, 2 * hm, st.v.f32().data(), b_count,
-             s_count, lh, hd);
-  qkv = Tensor();  // freed before the [S, S] probabilities are allocated
-
-  // Scaled dot-product attention with causal mask, per (batch, head).
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  st.att = NewAct({b_count * lh, s_count, s_count});
-  for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, true, s_count, s_count, hd, scale,
-            st.q.f32().data() + bh * s_count * hd,
-            st.k.f32().data() + bh * s_count * hd, 0.0f,
-            st.att.f32().data() + bh * s_count * s_count);
+  for (std::int64_t s = 0; s < seqs; ++s) {
+    for (std::int64_t head = 0; head < lh; ++head) {
+      K::Gemm(false, true, q_len, k_len, hd, scale,
+              q + s * q_len * ldq + head * hd, ldq,
+              kv + s * k_len * ldkv + head * hd, ldkv, 0.0f,
+              probs + (s * lh + head) * q_len * k_len, k_len);
+    }
   }
   {
     TRACE_SPAN("model/softmax");
-    K::CausalMaskedSoftmax(st.att.f32().data(), b_count * lh, s_count,
-                           s_count);
+    K::CausalMaskedSoftmax(probs, seqs * lh, q_len, k_len);
   }
-
-  st.ctx = NewAct({bs, hm});
-  Tensor ctx_heads = NewAct({b_count * lh, s_count, hd});
-  for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, false, s_count, hd, s_count, 1.0f,
-            st.att.f32().data() + bh * s_count * s_count,
-            st.v.f32().data() + bh * s_count * hd, 0.0f,
-            ctx_heads.f32().data() + bh * s_count * hd);
+  // The context GEMM reduces over the k_len keys; past the causal edge
+  // the probabilities are +0, trailing terms the GEMM contract makes
+  // exact no-ops, so a decode step over a cached prefix matches the full
+  // forward bitwise.
+  for (std::int64_t s = 0; s < seqs; ++s) {
+    for (std::int64_t head = 0; head < lh; ++head) {
+      K::Gemm(false, false, q_len, hd, k_len, 1.0f,
+              probs + (s * lh + head) * q_len * k_len, k_len,
+              kv + s * k_len * ldkv + hm + head * hd, ldkv, 0.0f,
+              ctx + s * q_len * ldctx + head * hd, ldctx);
+    }
   }
-  MergeHeads(ctx_heads.f32().data(), st.ctx.f32().data(), hm, 0, b_count,
-             s_count, lh, hd);
 }
 
-void GptModel::CachedAttention(Tensor qkv, const DecodeStep& d,
-                               LayerStash& st) const {
-  namespace K = tensor;
+void GptModel::CachedAttention(const DecodeStep& d, LayerStash& st) const {
   const std::int64_t n = static_cast<std::int64_t>(d.tokens.size());
   const std::int64_t hm = config_.hidden / mp_size();
   const std::int64_t lh = LocalHeads();
-  const std::int64_t hd = config_.hidden / config_.heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // Append this step's K/V rows to the cache before attending, so
   // tokens later in a prefill chunk see earlier ones.
-  const float* qkvp = qkv.f32().data();
+  const float* qkv = st.qkv.f32().data();
   for (std::int64_t i = 0; i < n; ++i) {
     const DecodeToken& t = d.tokens[static_cast<std::size_t>(i)];
-    CopyFloats(d.kv->KRow(t.slot, d.layer, t.pos), qkvp + i * 3 * hm + hm, hm);
-    CopyFloats(d.kv->VRow(t.slot, d.layer, t.pos), qkvp + i * 3 * hm + 2 * hm,
+    CopyFloats(d.kv->KRow(t.slot, d.layer, t.pos), qkv + i * 3 * hm + hm, hm);
+    CopyFloats(d.kv->VRow(t.slot, d.layer, t.pos), qkv + i * 3 * hm + 2 * hm,
                hm);
   }
 
-  // Causal attention of each group's queries against its cached prefix,
-  // per local head. Q and the cached K/V prefix are packed contiguous and
-  // run through K::Gemm like CausalAttention. The context GEMM reduces
-  // over k_len cached positions where the full forward reduces over seq
-  // with +0 weights past the causal edge; the GEMM contract makes those
-  // trailing terms exact no-ops, so decode matches eval bitwise.
-  st.ctx = NewAct({n, hm});
-  float* ctxp = st.ctx.f32().data();
-  std::vector<float> q_pack, k_pack, v_pack, scores, ctx_head;
+  // Each group's cached prefix is gathered once, as whole rows laid out
+  // like the k | v columns of a qkv row; every head of the group reads
+  // its Q rows from qkv and its K/V columns from the gather in place.
+  const auto k_len_of = [&](const DecodeStep::Group& g) {
+    return d.tokens[static_cast<std::size_t>(g.end - 1)].pos + 1;
+  };
+  std::int64_t max_q = 0;
+  std::int64_t max_k = 0;
   for (const DecodeStep::Group& g : d.groups) {
-    const std::int64_t q_len = g.end - g.begin;
-    const std::int64_t k_len =
-        d.tokens[static_cast<std::size_t>(g.end - 1)].pos + 1;
+    max_q = std::max(max_q, g.end - g.begin);
+    max_k = std::max(max_k, k_len_of(g));
+  }
+  st.ctx = NewAct({n, hm});
+  Tensor kv = NewAct({max_k, 2 * hm});
+  Tensor probs = NewAct({lh, max_q, max_k});
+  for (const DecodeStep::Group& g : d.groups) {
+    const std::int64_t k_len = k_len_of(g);
     const std::int32_t slot = d.tokens[static_cast<std::size_t>(g.begin)].slot;
-    q_pack.resize(static_cast<std::size_t>(q_len * hd));
-    k_pack.resize(static_cast<std::size_t>(k_len * hd));
-    v_pack.resize(static_cast<std::size_t>(k_len * hd));
-    scores.resize(static_cast<std::size_t>(q_len * k_len));
-    ctx_head.resize(static_cast<std::size_t>(q_len * hd));
-    for (std::int64_t head = 0; head < lh; ++head) {
-      for (std::int64_t qi = 0; qi < q_len; ++qi) {
-        CopyFloats(q_pack.data() + qi * hd,
-                   qkvp + (g.begin + qi) * 3 * hm + head * hd, hd);
-      }
-      for (std::int64_t j = 0; j < k_len; ++j) {
-        CopyFloats(k_pack.data() + j * hd,
-                   d.kv->KRow(slot, d.layer, j) + head * hd, hd);
-        CopyFloats(v_pack.data() + j * hd,
-                   d.kv->VRow(slot, d.layer, j) + head * hd, hd);
-      }
-      K::Gemm(false, true, q_len, k_len, hd, scale, q_pack.data(),
-              k_pack.data(), 0.0f, scores.data());
-      K::CausalMaskedSoftmax(scores.data(), 1, q_len, k_len);
-      K::Gemm(false, false, q_len, hd, k_len, 1.0f, scores.data(),
-              v_pack.data(), 0.0f, ctx_head.data());
-      for (std::int64_t qi = 0; qi < q_len; ++qi) {
-        CopyFloats(ctxp + (g.begin + qi) * hm + head * hd,
-                   ctx_head.data() + qi * hd, hd);
-      }
+    float* kvp = kv.f32().data();
+    for (std::int64_t j = 0; j < k_len; ++j) {
+      CopyFloats(kvp + j * 2 * hm, d.kv->KRow(slot, d.layer, j), hm);
+      CopyFloats(kvp + j * 2 * hm + hm, d.kv->VRow(slot, d.layer, j), hm);
     }
+    Attend(1, g.end - g.begin, k_len, qkv + g.begin * 3 * hm, 3 * hm, kvp,
+           2 * hm, probs.f32().data(), st.ctx.f32().data() + g.begin * hm,
+           hm);
   }
 }
 
@@ -568,59 +516,50 @@ void GptModel::BlockBackward(std::span<const float> up, const LayerStash& st,
   K::Gemm(true, false, h, hm, bs, 1.0f, dx_mid, st.ctx.f32().data(), 1.0f,
           g + lo_.w_o);
 
-  Tensor dctxh_t = NewAct({b_count * lh, s_count, hd});
-  SplitHeads(dctx_t.f32().data(), hm, 0, dctxh_t.f32().data(), b_count,
-             s_count, lh, hd);
-  dctx_t = Tensor();
-
+  // Per (sequence, head), every operand is read and written in place:
+  // head h of sequence b is the column slice at h*hd of rows
+  // [b*S, (b+1)*S) of dctx, of q | k | v in st.qkv, and of dq | dk | dv in
+  // dqkv, which the four GEMMs fill completely.
+  const float* qkv = st.qkv.f32().data();
+  const float* dctx = dctx_t.f32().data();
+  const float* att = st.att.f32().data();
+  const std::int64_t ld = 3 * hm;
+  const auto head_rows = [&](std::int64_t bh) {
+    return (bh / lh) * s_count * ld + (bh % lh) * hd;
+  };
   Tensor datt_t = NewAct({b_count * lh, s_count, s_count});
-  Tensor dv_t = NewAct({b_count * lh, s_count, hd});
+  Tensor dqkv_t = NewAct({bs, 3 * hm});
+  float* datt = datt_t.f32().data();
+  float* dqkv = dqkv_t.f32().data();
   for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, true, s_count, s_count, hd, 1.0f,
-            dctxh_t.f32().data() + bh * s_count * hd,
-            st.v.f32().data() + bh * s_count * hd, 0.0f,
-            datt_t.f32().data() + bh * s_count * s_count);
+    const std::int64_t r = head_rows(bh);
+    const float* dctx_h = dctx + (bh / lh) * s_count * hm + (bh % lh) * hd;
+    K::Gemm(false, true, s_count, s_count, hd, 1.0f, dctx_h, hm,
+            qkv + r + 2 * hm, ld, 0.0f, datt + bh * s_count * s_count,
+            s_count);
     K::Gemm(true, false, s_count, hd, s_count, 1.0f,
-            st.att.f32().data() + bh * s_count * s_count,
-            dctxh_t.f32().data() + bh * s_count * hd, 0.0f,
-            dv_t.f32().data() + bh * s_count * hd);
+            att + bh * s_count * s_count, s_count, dctx_h, hm, 0.0f,
+            dqkv + r + 2 * hm, ld);
   }
-  dctxh_t = Tensor();
+  dctx_t = Tensor();
 
   // Softmax backward (masked entries have probability 0, so their
   // gradient vanishes automatically).
   {
     TRACE_SPAN("model/softmax");
-    K::SoftmaxBackwardRows(st.att.f32().data(), datt_t.f32().data(),
-                           datt_t.f32().data(), b_count * lh * s_count,
-                           s_count);
+    K::SoftmaxBackwardRows(att, datt, datt, b_count * lh * s_count, s_count);
   }
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  Tensor dq_t = NewAct({b_count * lh, s_count, hd});
-  Tensor dk_t = NewAct({b_count * lh, s_count, hd});
   for (std::int64_t bh = 0; bh < b_count * lh; ++bh) {
-    K::Gemm(false, false, s_count, hd, s_count, scale,
-            datt_t.f32().data() + bh * s_count * s_count,
-            st.k.f32().data() + bh * s_count * hd, 0.0f,
-            dq_t.f32().data() + bh * s_count * hd);
-    K::Gemm(true, false, s_count, hd, s_count, scale,
-            datt_t.f32().data() + bh * s_count * s_count,
-            st.q.f32().data() + bh * s_count * hd, 0.0f,
-            dk_t.f32().data() + bh * s_count * hd);
+    const std::int64_t r = head_rows(bh);
+    const float* datt_h = datt + bh * s_count * s_count;
+    K::Gemm(false, false, s_count, hd, s_count, scale, datt_h, s_count,
+            qkv + r + hm, ld, 0.0f, dqkv + r, ld);
+    K::Gemm(true, false, s_count, hd, s_count, scale, datt_h, s_count,
+            qkv + r, ld, 0.0f, dqkv + r + hm, ld);
   }
   datt_t = Tensor();
-
-  Tensor dqkv_t = NewAct({bs, 3 * hm});
-  MergeHeads(dq_t.f32().data(), dqkv_t.f32().data(), 3 * hm, 0, b_count,
-             s_count, lh, hd);
-  MergeHeads(dk_t.f32().data(), dqkv_t.f32().data(), 3 * hm, hm, b_count,
-             s_count, lh, hd);
-  MergeHeads(dv_t.f32().data(), dqkv_t.f32().data(), 3 * hm, 2 * hm, b_count,
-             s_count, lh, hd);
-  dq_t = Tensor();
-  dk_t = Tensor();
-  dv_t = Tensor();
 
   K::BiasGradFromRows(dqkv_t.f32().data(), g + lo_.b_qkv, bs, 3 * hm);
   K::Gemm(true, false, 3 * hm, h, bs, 1.0f, dqkv_t.f32().data(),

@@ -153,7 +153,7 @@ class GptModel final : public FlatParamModel {
     std::int64_t ckpt_handle = -1;
     tensor::Tensor ln1_mean, ln1_rstd;  // [BS]
     tensor::Tensor a;      // [BS, H] ln1 output
-    tensor::Tensor q, k, v;  // [B*lh, S, hd]
+    tensor::Tensor qkv;    // [BS, 3H/m]: q | k | v, head h at cols h*hd
     tensor::Tensor att;    // [B*lh, S, S] softmax probabilities
     tensor::Tensor ctx;    // [BS, H/m]
     tensor::Tensor x_mid;  // [BS, H] after first residual
@@ -185,21 +185,30 @@ class GptModel final : public FlatParamModel {
 
   // The one block forward: consumes x_in ([rows, H]), produces x_out,
   // filling `st`. With `decode` null the rows are whole sequences and
-  // attention is CausalAttention; otherwise the rows are decode->tokens
-  // and attention is CachedAttention.
+  // attention runs over them; otherwise the rows are decode->tokens and
+  // attention is CachedAttention.
   void BlockForward(const UnitWeights& w, const float* x_in, float* x_out,
                     std::int64_t rows, LayerStash& st,
                     const DecodeStep* decode) const;
 
-  // Full causal attention per (batch, head) over [bs, 3H/m] qkv rows into
-  // st.ctx, stashing q, k, v and the probabilities for backward.
-  void CausalAttention(tensor::Tensor qkv, std::int64_t bs,
-                       LayerStash& st) const;
+  // The one causal attention body, for `seqs` sequences x the local heads,
+  // reading and writing every operand in place. Sequence s's q_len query
+  // rows start at row s*q_len of `q` (rows ldq floats apart), its k_len
+  // key rows at row s*k_len of `kv` (rows ldkv apart), with each value
+  // row H/m floats to the right of its key row; head h is the column
+  // slice [h*hd, (h+1)*hd) of every row. Writes the softmax probabilities
+  // to `probs` ([seqs * lh, q_len, k_len]) and the context to `ctx` (rows
+  // ldctx apart, sequence s from row s*q_len). Query i attends to key
+  // positions up to k_len - q_len + i.
+  void Attend(std::int64_t seqs, std::int64_t q_len, std::int64_t k_len,
+              const float* q, std::int64_t ldq, const float* kv,
+              std::int64_t ldkv, float* probs, float* ctx,
+              std::int64_t ldctx) const;
 
-  // Appends each token's K/V to the cache, then attends every group's
-  // queries over its cached prefix into st.ctx.
-  void CachedAttention(tensor::Tensor qkv, const DecodeStep& d,
-                       LayerStash& st) const;
+  // Appends each token's K/V (from st.qkv) to the cache, gathers each
+  // group's cached K/V prefix, and attends the group's queries over it
+  // into st.ctx.
+  void CachedAttention(const DecodeStep& d, LayerStash& st) const;
 
   // Backward one block given d_out; produces d_in (may alias d_out) and
   // accumulates the block's parameter gradients into `ugrad`.

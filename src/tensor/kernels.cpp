@@ -42,10 +42,6 @@ constexpr std::int64_t kMc = 256;
 constexpr std::int64_t kKc = 128;
 constexpr std::int64_t kNc = 4096;
 
-// Below this flop count the packing overhead dominates; use a direct
-// strided path (attention runs many tiny per-head GEMMs).
-constexpr std::int64_t kSmallGemmFlops = 1 << 15;
-
 // Chunk sizes for deterministic parallel partitioning. These are part
 // of each kernel's numeric contract: partials are combined in
 // chunk-index order, so results are bitwise-stable for any worker
@@ -57,48 +53,6 @@ constexpr std::int64_t kCeRowChunk = 16;      // cross-entropy rows
 
 std::int64_t RowGrain(std::int64_t cols) {
   return std::max<std::int64_t>(1, kElemChunk / std::max<std::int64_t>(cols, 1));
-}
-
-// op(A)[i, kk] for A stored row-major as [m, k] (or [k, m] transposed).
-inline float OpA(const float* a, bool trans, std::int64_t m, std::int64_t k,
-                 std::int64_t i, std::int64_t kk) {
-  return trans ? a[kk * m + i] : a[i * k + kk];
-}
-
-// op(B)[kk, j] for B stored row-major as [k, n] (or [n, k] transposed).
-inline float OpB(const float* b, bool trans, std::int64_t k, std::int64_t n,
-                 std::int64_t kk, std::int64_t j) {
-  return trans ? b[j * k + kk] : b[kk * n + j];
-}
-
-// Direct path for small problems, row-partitioned. Every C element runs
-// the packed path's per-element chain: alpha folded into A (as PackA
-// does), k split at the same kKc panel boundaries, each panel an explicit
-// std::fma chain from +0 that is then added into C. No zero-multiplicand
-// skipping — 0 * Inf must produce NaN for the loss-scaler's overflow
-// detection.
-void SmallGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-               std::int64_t k, float alpha, const float* a, const float* b,
-               float* c) {
-  ParallelFor(0, m, RowGrain(n * k), [&](std::int64_t i0, std::int64_t i1) {
-    float arow[kKc];
-    for (std::int64_t i = i0; i < i1; ++i) {
-      float* ci = c + i * n;
-      for (std::int64_t pc = 0; pc < k; pc += kKc) {
-        const std::int64_t kc = std::min(kKc, k - pc);
-        for (std::int64_t kk = 0; kk < kc; ++kk) {
-          arow[kk] = alpha * OpA(a, trans_a, m, k, i, pc + kk);
-        }
-        for (std::int64_t j = 0; j < n; ++j) {
-          float acc = 0.0f;
-          for (std::int64_t kk = 0; kk < kc; ++kk) {
-            acc = std::fma(arow[kk], OpB(b, trans_b, k, n, pc + kk, j), acc);
-          }
-          ci[j] += acc;
-        }
-      }
-    }
-  });
 }
 
 #if defined(__AVX512F__)
@@ -158,20 +112,21 @@ inline void Transpose16x16(__m512 r[16]) {
 }
 #endif
 
-// Packs rows [i0, i0+mc) x k-range [p0, p0+kc) of op(A) into micro-panels
-// of kMr rows: dst[(panel * kc + kk) * kMr + r], zero-padded past mc.
-// alpha is folded in here (the seed kernel multiplied it into A too).
-// One loop per storage order: transposed A holds a panel's kMr rows
-// contiguously at each kk; row-major A is transposed 8 x 8 in registers
-// (full panels, whole 8-deep k steps) and element by element elsewhere.
-void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
-           std::int64_t i0, std::int64_t mc, std::int64_t p0, std::int64_t kc,
-           float alpha, float* dst) {
+// Packs rows [i0, i0+mc) x k-range [p0, p0+kc) of op(A), whose stored
+// rows are lda floats apart, into micro-panels of kMr rows:
+// dst[(panel * kc + kk) * kMr + r], zero-padded past mc. alpha is folded
+// in here (the seed kernel multiplied it into A too). One loop per
+// storage order: transposed A holds a panel's kMr rows contiguously at
+// each kk; row-major A is transposed 8 x 8 in registers (full panels,
+// whole 8-deep k steps) and element by element elsewhere.
+void PackA(const float* a, std::int64_t lda, bool trans, std::int64_t i0,
+           std::int64_t mc, std::int64_t p0, std::int64_t kc, float alpha,
+           float* dst) {
   const std::int64_t panels = (mc + kMr - 1) / kMr;
   if (trans) {
     // 8-deep k steps across every panel: the 8 source rows stream
     // contiguously instead of each panel striding through kc rows
-    // (rows m floats apart alias in L1 when m is a multiple of 1024).
+    // (rows lda floats apart alias in L1 when lda is a multiple of 1024).
     for (std::int64_t kb = 0; kb < kc; kb += 8) {
       const std::int64_t kb_e = std::min<std::int64_t>(8, kc - kb);
       for (std::int64_t p = 0; p < panels; ++p) {
@@ -180,7 +135,7 @@ void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
             std::min<std::int64_t>(kMr, i0 + mc - rbase);
         for (std::int64_t t = 0; t < kb_e; ++t) {
           float* drow = dst + (p * kc + kb + t) * kMr;
-          const float* srow = a + (p0 + kb + t) * m + rbase;
+          const float* srow = a + (p0 + kb + t) * lda + rbase;
           for (std::int64_t r = 0; r < rvalid; ++r) drow[r] = alpha * srow[r];
           for (std::int64_t r = rvalid; r < kMr; ++r) drow[r] = 0.0f;
         }
@@ -193,7 +148,7 @@ void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
     const std::int64_t rbase = i0 + p * kMr;
     const std::int64_t rvalid = std::min<std::int64_t>(kMr, i0 + mc - rbase);
     std::int64_t kk = 0;
-    const float* src = a + rbase * k + p0;
+    const float* src = a + rbase * lda + p0;
 #if defined(__AVX512F__)
     static_assert(kMr == 8, "the 8x8 A transpose fills one kMr panel");
     if (rvalid == kMr) {
@@ -201,7 +156,7 @@ void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
       for (; kk + 8 <= kc; kk += 8) {
         __m256 r[8];
         for (int i = 0; i < 8; ++i) {
-          r[i] = _mm256_mul_ps(va, _mm256_loadu_ps(src + i * k + kk));
+          r[i] = _mm256_mul_ps(va, _mm256_loadu_ps(src + i * lda + kk));
         }
         Transpose8x8(r);
         for (int t = 0; t < 8; ++t) _mm256_storeu_ps(dp + (kk + t) * kMr, r[t]);
@@ -211,21 +166,21 @@ void PackA(const float* a, bool trans, std::int64_t m, std::int64_t k,
     for (; kk < kc; ++kk) {
       float* drow = dp + kk * kMr;
       for (std::int64_t r = 0; r < rvalid; ++r) {
-        drow[r] = alpha * src[r * k + kk];
+        drow[r] = alpha * src[r * lda + kk];
       }
       for (std::int64_t r = rvalid; r < kMr; ++r) drow[r] = 0.0f;
     }
   }
 }
 
-// Packs k-range [p0, p0+kc) x cols [j0, j0+nc) of op(B) into micro-panels
-// of kNr columns: dst[(panel * kc + kk) * kNr + j], zero-padded past nc.
-// Row-major B copies each panel row with one memcpy; transposed B is
-// transposed 16 x 16 in registers (full panels, whole 16-deep k steps)
-// and element by element elsewhere.
-void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
-           std::int64_t p0, std::int64_t kc, std::int64_t j0, std::int64_t nc,
-           float* dst) {
+// Packs k-range [p0, p0+kc) x cols [j0, j0+nc) of op(B), whose stored
+// rows are ldb floats apart, into micro-panels of kNr columns:
+// dst[(panel * kc + kk) * kNr + j], zero-padded past nc. Row-major B
+// copies each panel row with one memcpy; transposed B is transposed
+// 16 x 16 in registers (full panels, whole 16-deep k steps) and element
+// by element elsewhere.
+void PackB(const float* b, std::int64_t ldb, bool trans, std::int64_t p0,
+           std::int64_t kc, std::int64_t j0, std::int64_t nc, float* dst) {
   const std::int64_t panels = (nc + kNr - 1) / kNr;
   for (std::int64_t p = 0; p < panels; ++p) {
     float* dp = dst + p * kc * kNr;
@@ -233,23 +188,23 @@ void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
     const std::int64_t cvalid = std::min<std::int64_t>(kNr, j0 + nc - cbase);
     std::int64_t kk = 0;
     if (!trans) {
-      const float* src = b + p0 * n + cbase;
+      const float* src = b + p0 * ldb + cbase;
       for (; kk < kc; ++kk) {
         float* drow = dp + kk * kNr;
-        std::memcpy(drow, src + kk * n,
+        std::memcpy(drow, src + kk * ldb,
                     static_cast<std::size_t>(cvalid) * sizeof(float));
         for (std::int64_t j = cvalid; j < kNr; ++j) drow[j] = 0.0f;
       }
       continue;
     }
-    const float* src = b + cbase * k + p0;
+    const float* src = b + cbase * ldb + p0;
 #if defined(__AVX512F__)
     if (cvalid == kNr) {
       for (; kk + 16 <= kc; kk += 16) {
         for (std::int64_t jh = 0; jh < kNr; jh += 16) {
           __m512 r[16];
           for (int j = 0; j < 16; ++j) {
-            r[j] = _mm512_loadu_ps(src + (jh + j) * k + kk);
+            r[j] = _mm512_loadu_ps(src + (jh + j) * ldb + kk);
           }
           Transpose16x16(r);
           for (int t = 0; t < 16; ++t) {
@@ -261,7 +216,7 @@ void PackB(const float* b, bool trans, std::int64_t k, std::int64_t n,
 #endif
     for (; kk < kc; ++kk) {
       float* drow = dp + kk * kNr;
-      for (std::int64_t j = 0; j < cvalid; ++j) drow[j] = src[j * k + kk];
+      for (std::int64_t j = 0; j < cvalid; ++j) drow[j] = src[j * ldb + kk];
       for (std::int64_t j = cvalid; j < kNr; ++j) drow[j] = 0.0f;
     }
   }
@@ -406,18 +361,36 @@ std::int64_t ForEachBTile(std::int64_t n, std::int64_t k, Fn&& fn) {
   return base;
 }
 
-// The one packed loop nest (BLIS jc/pc/ib/jr/ir). The B operand `b` is
-// either a filler `b(jc, nc, pc, kc, pb)` that writes the fp32 tile for
-// columns [jc, jc+nc) x k-range [pc, pc+kc) into a scratch tile in
-// PackB's micro-panel layout, or a `const Half*` to fp16 panels
-// pre-packed in that layout, read in place at each tile's `base`. Each
-// operand encoding brings its own B operand, and everything downstream
-// of the tile (A packing, the micro-kernel's A broadcast, FMA chain and
-// C update, the row-block partition) is shared, so the float pipeline
-// is element-for-element the same for every encoding.
+// The one GEMM loop nest (BLIS jc/pc/ib/jr/ir), for every shape and
+// every operand encoding. First C = beta * C over its m x n elements
+// (rows ldc floats apart; the gaps between rows are never touched). The
+// B operand `b` is either a filler `b(jc, nc, pc, kc, pb)` that writes
+// the fp32 tile for columns [jc, jc+nc) x k-range [pc, pc+kc) into a
+// scratch tile in PackB's micro-panel layout, or a `const Half*` to fp16
+// panels pre-packed in that layout, read in place at each tile's `base`.
+// Each operand encoding brings its own B operand, and everything
+// downstream of the tile (A packing, the micro-kernel's A broadcast, FMA
+// chain and C update, the row-block partition) is shared, so the float
+// pipeline is element-for-element the same for every encoding.
 template <class B>
 void PackedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
-                float alpha, const float* a, const B& b, float* c) {
+                float alpha, const float* a, std::int64_t lda, const B& b,
+                float beta, float* c, std::int64_t ldc) {
+  if (m <= 0 || n <= 0) return;
+  if (beta != 1.0f) {
+    ParallelFor(0, m, RowGrain(n), [&](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        float* cr = c + r * ldc;
+        if (beta == 0.0f) {
+          std::memset(cr, 0, static_cast<std::size_t>(n) * sizeof(float));
+        } else {
+          for (std::int64_t j = 0; j < n; ++j) cr[j] *= beta;
+        }
+      }
+    });
+  }
+  if (k <= 0) return;
+
   constexpr bool kHalfPanels = std::is_same_v<B, const Half*>;
   alloc::ScratchArena& scratch = alloc::ThreadScratch();
   alloc::ScratchGuard guard(scratch);
@@ -451,7 +424,7 @@ void PackedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
       for (std::int64_t ib = ib0; ib < ib1; ++ib) {
         const std::int64_t i0 = ib * kMc;
         const std::int64_t mc = std::min(kMc, m - i0);
-        PackA(a, trans_a, m, k, i0, mc, pc, kc, alpha, pa);
+        PackA(a, lda, trans_a, i0, mc, pc, kc, alpha, pa);
         const std::int64_t ir_panels = (mc + kMr - 1) / kMr;
         for (std::int64_t jr = 0; jr < jr_panels; ++jr) {
           const auto* pbp = pb + jr * kc * kNr;
@@ -460,61 +433,13 @@ void PackedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
           for (std::int64_t ir = 0; ir < ir_panels; ++ir) {
             const std::int64_t r0 = i0 + ir * kMr;
             const std::int64_t mr_e = std::min<std::int64_t>(kMr, m - r0);
-            MicroKernel(kc, pa + ir * kc * kMr, pbp, c + r0 * n + j0, n,
+            MicroKernel(kc, pa + ir * kc * kMr, pbp, c + r0 * ldc + j0, ldc,
                         mr_e, nr_e);
           }
         }
       }
     });
   });
-}
-
-// Every GEMM entry point's shape: C = beta * C, then the direct small
-// path or PackedGemm, split at the same flop threshold for every operand
-// encoding.
-template <class Small, class Packed>
-void ScaleAndDispatch(std::int64_t m, std::int64_t n, std::int64_t k,
-                      float beta, float* c, const Small& small,
-                      const Packed& packed) {
-  if (beta == 0.0f) {
-    ParallelFor(0, m * n, kElemChunk, [&](std::int64_t b0, std::int64_t e0) {
-      std::memset(c + b0, 0, static_cast<std::size_t>(e0 - b0) * sizeof(float));
-    });
-  } else if (beta != 1.0f) {
-    Scale(c, beta, m * n);
-  }
-  if (m <= 0 || n <= 0 || k <= 0) return;
-
-  if (m * n * k <= kSmallGemmFlops) {
-    small();
-  } else {
-    packed();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reduced-precision weight operands W[n, k], used transposed. The small
-// path decodes the (bounded: n * k <= kSmallGemmFlops) weight tile row by
-// row into thread scratch and feeds it to SmallGemm; the packed path
-// swaps only the B operand. Either way the floats reaching the
-// per-element chain are the decoded weights, so the result is bitwise
-// the decoded-fp32 Gemm.
-template <class DecodeRow, class B>
-void GemmWeightT(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const float* a, const DecodeRow& decode_row, const B& b,
-                 float beta, float* c) {
-  ScaleAndDispatch(
-      m, n, k, beta, c,
-      [&] {
-        alloc::ScratchArena& scratch = alloc::ThreadScratch();
-        alloc::ScratchGuard guard(scratch);
-        float* wf = scratch.AllocateT<float>(static_cast<std::size_t>(n * k));
-        for (std::int64_t row = 0; row < n; ++row) {
-          decode_row(row, wf + row * k);
-        }
-        SmallGemm(false, true, m, n, k, alpha, a, wf, c);
-      },
-      [&] { PackedGemm(false, m, n, k, alpha, a, b, c); });
 }
 
 // Blockwise-int8 elements [idx, idx+len) of W to fp32. The run is split
@@ -542,30 +467,26 @@ void DecodeQuant(const std::int8_t* codes, const float* scales,
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, float alpha, const float* a, const float* b,
-          float beta, float* c) {
-  ScaleAndDispatch(
-      m, n, k, beta, c,
-      [&] { SmallGemm(trans_a, trans_b, m, n, k, alpha, a, b, c); },
-      [&] {
-        PackedGemm(trans_a, m, n, k, alpha, a,
-                   [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
-                       std::int64_t kc, float* pb) {
-                     PackB(b, trans_b, k, n, pc, kc, jc, nc, pb);
-                   },
-                   c);
-      });
+          std::int64_t k, float alpha, const float* a, std::int64_t lda,
+          const float* b, std::int64_t ldb, float beta, float* c,
+          std::int64_t ldc) {
+  ZERO_CHECK(lda >= (trans_a ? m : k) && ldb >= (trans_b ? k : n) &&
+                 ldc >= n,
+             "Gemm leading dimension shorter than its row");
+  PackedGemm(trans_a, m, n, k, alpha, a, lda,
+             [&](std::int64_t jc, std::int64_t nc, std::int64_t pc,
+                 std::int64_t kc, float* pb) {
+               PackB(b, ldb, trans_b, pc, kc, jc, nc, pb);
+             },
+             beta, c, ldc);
 }
 
 void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
                       float alpha, const float* a, const std::int8_t* codes,
                       const float* scales, std::int64_t qblock, float beta,
                       float* c) {
-  GemmWeightT(
-      m, n, k, alpha, a,
-      [&](std::int64_t row, float* dst) {
-        DecodeQuant(codes, scales, qblock, row * k, k, dst);
-      },
+  PackedGemm(
+      false, m, n, k, alpha, a, k,
       // Panel column j is weight row jc + j, whose k-range [pc, pc+kc) is
       // contiguous in W: decoded in one call, then scattered into the
       // kNr-interleaved panel.
@@ -587,7 +508,7 @@ void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
           }
         }
       },
-      beta, c);
+      beta, c, n);
 }
 
 std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k) {
@@ -641,15 +562,10 @@ void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,
                      float alpha, const float* a, const Half* panels,
                      float beta, float* c) {
-  GemmWeightT(
-      m, n, k, alpha, a,
-      [&](std::int64_t row, float* dst) {
-        DecodeHalfPanelRow(panels, n, k, row, dst);
-      },
-      // The pre-packed tiles are PackB's layout (padded lanes stored as
-      // fp16 zero): the micro-kernel reads them in place and widens each
-      // B load in registers, so no fp32 B tile exists.
-      panels, beta, c);
+  // The pre-packed tiles are PackB's layout (padded lanes stored as fp16
+  // zero): the micro-kernel reads them in place and widens each B load in
+  // registers, so no fp32 B tile exists.
+  PackedGemm(false, m, n, k, alpha, a, k, panels, beta, c, n);
 }
 
 void AddBiasRows(float* x, const float* bias, std::int64_t rows,

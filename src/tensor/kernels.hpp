@@ -30,27 +30,40 @@ namespace zero::tensor {
 
 // C[m,n] = alpha * op(A)[m,k] * op(B)[k,n] + beta * C[m,n].
 // op(X) = X or X^T according to the trans flags; dimensions m/n/k always
-// refer to the post-op shapes. Row-major storage.
+// refer to the post-op shapes. Row-major storage with BLAS leading
+// dimensions: A is stored [m, k] ([k, m] transposed) with rows lda floats
+// apart, B [k, n] ([n, k] transposed) with rows ldb apart, and C [m, n]
+// with rows ldc apart, so an operand may be a column slice of a wider
+// matrix (attention reads each head in place from the qkv rows). Only
+// C's m x n elements are read or written; the gaps between its rows are
+// left untouched. Every shape runs the one packed loop nest.
 //
 // Numeric contract (DESIGN.md §9): an element's bits depend only on its
 // row of op(A), its column of op(B), k and alpha — row i of Gemm(m,n,k)
-// is bitwise Gemm(1,n,k) on that row, whichever of the small and packed
-// paths each call takes — and trailing zero terms in k are exact no-ops.
+// is bitwise Gemm(1,n,k) on that row, at any strides — and trailing zero
+// terms in k are exact no-ops.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, float alpha, const float* a, const float* b,
-          float beta, float* c);
+          std::int64_t k, float alpha, const float* a, std::int64_t lda,
+          const float* b, std::int64_t ldb, float beta, float* c,
+          std::int64_t ldc);
+
+// Contiguous operands: each leading dimension is its row's width.
+inline void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                 std::int64_t k, float alpha, const float* a, const float* b,
+                 float beta, float* c) {
+  Gemm(trans_a, trans_b, m, n, k, alpha, a, trans_a ? m : k, b,
+       trans_b ? k : n, beta, c, n);
+}
 
 // Reduced-precision weight GEMMs for the serving backends
 // (tensor/gemm_backend.hpp). The weight operand W is stored [n, k] and
 // used transposed (the shape every projection in the model keeps), so
 //   C[m,n] = alpha * A[m,k] * W[n,k]^T + beta * C[m,n]
 // with A fp32 activations. No persistent fp32 copy of W exists. Each
-// entry point runs Gemm's own dispatch and loop nest with only the
-// weight read swapped: the small path decodes the (bounded) weight tile
-// into thread scratch, the packed path decodes each int8 B tile as it
-// is packed and widens fp16 B in registers. Both produce bitwise the result of decoding W to fp32 and
-// calling Gemm(false, true, ...) — same dispatch threshold, same
-// kernels, same summation order.
+// entry point runs Gemm's own loop nest with only the B operand swapped:
+// int8 B tiles are decoded as they are packed, and fp16 B is widened in
+// registers. Both produce bitwise the result of decoding W to fp32 and
+// calling Gemm(false, true, ...) — same kernels, same summation order.
 //
 // Blockwise-int8 W: element i decodes to codes[i] * scales[i / qblock]
 // (scales pre-decoded to fp32, matching tensor/quantize's
@@ -70,8 +83,8 @@ void GemmQuantWeightT(std::int64_t m, std::int64_t n, std::int64_t k,
 [[nodiscard]] std::int64_t HalfPanelElems(std::int64_t n, std::int64_t k);
 void PackHalfPanelsT(const float* w, std::int64_t n, std::int64_t k,
                      Half* dst);
-// Decodes row `row` of the panel-packed [n, k] matrix to fp32 —
-// embedding gathers and the small-GEMM tile materialization.
+// Decodes row `row` of the panel-packed [n, k] matrix to fp32 (embedding
+// gathers).
 void DecodeHalfPanelRow(const Half* panels, std::int64_t n, std::int64_t k,
                         std::int64_t row, float* dst);
 void GemmHalfPanelsT(std::int64_t m, std::int64_t n, std::int64_t k,

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 
@@ -92,6 +93,40 @@ TEST(TrainingStateTest, FileRoundTrip) {
   const std::string path = "/tmp/zero_ckpt_test.bin";
   state.SaveToFile(path);
   EXPECT_EQ(TrainingState::LoadFromFile(path), state);
+  std::remove(path.c_str());
+}
+
+// A save that fails before its rename throws and leaves the previous
+// checkpoint whole; a save that succeeds leaves no temp file behind.
+TEST(TrainingStateTest, FailedSaveKeepsPreviousCheckpoint) {
+  TrainingState a;
+  a.total_numel = 3;
+  a.step_count = 7;
+  a.master = {1, 2, 3};
+  a.momentum = {4, 5, 6};
+  a.variance = {7, 8, 9};
+  TrainingState b = a;
+  b.step_count = 8;
+  b.master = {-1, -2, -3};
+  const std::string path = "/tmp/zero_ckpt_crash_safe_test.bin";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  a.SaveToFile(path);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+
+  // A directory where the temp file goes makes the save fail at open.
+  std::filesystem::create_directory(tmp);
+  EXPECT_THROW(b.SaveToFile(path), Error);
+  const std::vector<std::byte> want = a.Serialize();
+  const std::vector<std::byte> got =
+      TrainingState::LoadFromFile(path).Serialize();
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size()), 0);
+
+  std::filesystem::remove_all(tmp);
+  b.SaveToFile(path);
+  EXPECT_EQ(TrainingState::LoadFromFile(path), b);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
   std::remove(path.c_str());
 }
 

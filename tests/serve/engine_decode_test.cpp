@@ -36,9 +36,8 @@ model::GptConfig TestConfig() {
   return c;
 }
 
-// Eval forward GEMMs on the packed side of the small/packed dispatch
-// (single-token decode stays on the small side), and a context
-// reduction over seq = 160 that spans two k panels.
+// Wider heads than TestConfig, and a context reduction over seq = 160
+// that spans two k panels.
 model::GptConfig WideConfig() {
   model::GptConfig c = TestConfig();
   c.seq = 160;

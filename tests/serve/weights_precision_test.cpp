@@ -154,10 +154,9 @@ TEST(WeightsPrecision, Fp16GreedyEquivalentWithBoundedLogitError) {
 
 // The fp16 engine reads every matrix entry as its fp16 rounding, through
 // the same GEMM chain as fp32: its per-step logits are bitwise those of
-// an fp32 engine loaded with the matrix entries pre-rounded to fp16. At
-// hidden 32 the projections take the small GEMM path; at hidden 512
-// (the serving benchmark's width) they take the packed path, where the
-// micro-kernel widens the fp16 panels in registers.
+// an fp32 engine loaded with the matrix entries pre-rounded to fp16, at
+// hidden 32 and at hidden 512 (the serving benchmark's width). At both,
+// the micro-kernel widens the fp16 panels in registers.
 TEST(WeightsPrecision, Fp16LogitsMemcmpFp32OnPreRoundedWeights) {
   for (const std::int64_t hidden : {32, 512}) {
     model::GptConfig cfg = TestConfig();

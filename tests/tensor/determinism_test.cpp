@@ -6,9 +6,9 @@
 // stage-equivalence tests exact when the pool is enabled.
 //
 // The GEMM contract is stronger: an element's bits depend only on its
-// row of op(A), its column of op(B), k and alpha — not on m, n or which
-// side of the small/packed dispatch the call takes — and trailing zero
-// terms in k are exact no-ops. That is what lets incremental decode (a
+// row of op(A), its column of op(B), k and alpha — not on m, n or the
+// operands' leading dimensions — and trailing zero terms in k are exact
+// no-ops. That is what lets incremental decode (a
 // few rows, k = cached length) reproduce the full forward (all rows,
 // k = seq) bitwise.
 #include <algorithm>
@@ -78,10 +78,8 @@ struct GemmShape {
   std::int64_t m, n, k;
 };
 
-// Both sides of the 2^15-flop small/packed dispatch, m past one kMc row
-// block (256) and k past one kKc panel (128). Single-row calls of the
-// packed shapes take the small path, except 2x300x140, which stays
-// packed at one row.
+// Tiny shapes (down to a few hundred flops), m past one kMc row block
+// (256) and k past one kKc panel (128).
 const GemmShape kRowShapes[] = {
     {3, 5, 7},     {7, 33, 100},  {5, 20, 300},
     {300, 40, 150}, {270, 70, 260}, {2, 300, 140},
@@ -229,11 +227,31 @@ std::vector<float> OpB(const std::vector<float>& b, bool tb, std::int64_t k,
 const float kContractAlphas[] = {1.0f, 0.17677669f};
 const float kContractBetas[] = {0.0f, 0.5f, 1.0f};
 
+// `rows` x `cols` of `src` (rows cols floats apart) copied into rows
+// cols + pad floats apart, with the sentinel NaN in every gap.
+const std::uint32_t kSentinelBits = 0x7FC0DEADu;  // a quiet NaN payload
+
+std::vector<float> WithGaps(const std::vector<float>& src, std::int64_t rows,
+                            std::int64_t cols, std::int64_t pad) {
+  float sentinel;
+  std::memcpy(&sentinel, &kSentinelBits, sizeof(sentinel));
+  std::vector<float> out(static_cast<std::size_t>(rows * (cols + pad)),
+                         sentinel);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::memcpy(out.data() + r * (cols + pad), src.data() + r * cols,
+                static_cast<std::size_t>(cols) * sizeof(float));
+  }
+  return out;
+}
+
 // Every packer and micro-kernel edge against the written-out chain:
 // the four transpose cases; m across the 8-row tile, its edges and one
 // kMc row block; n inside, at and past one 32-wide panel; k inside, at
-// and past one kKc panel and the transpose blocks; both sides of the
-// small/packed dispatch. alpha and beta cycle.
+// and past one kKc panel and the transpose blocks; shapes down to one
+// element. alpha and beta cycle. Each case runs at the natural leading
+// dimensions and again with every operand's rows 7 floats wider, NaN
+// sentinels in the gaps: C's gaps must come back bit-unchanged, and no
+// sentinel may reach a result.
 TEST(DeterminismTest, GemmMatchesContractReference) {
   Rng rng(47);
   std::vector<std::int64_t> ms;
@@ -258,14 +276,32 @@ TEST(DeterminismTest, GemmMatchesContractReference) {
             std::vector<float> want = c0;
             ContractGemm(ta, m, n, k, alpha, a.data(), opb.data(), beta,
                          want.data());
-            std::vector<float> got = c0;
-            Gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta,
-                 got.data());
-            ASSERT_EQ(std::memcmp(want.data(), got.data(),
-                                  want.size() * sizeof(float)),
-                      0)
-                << m << "x" << n << "x" << k << " ta=" << ta << " tb=" << tb
-                << " alpha=" << alpha << " beta=" << beta;
+            for (const std::int64_t pad : {0, 7}) {
+              const std::int64_t a_cols = ta ? m : k;
+              const std::int64_t b_cols = tb ? k : n;
+              const auto a_s = WithGaps(a, ta ? k : m, a_cols, pad);
+              const auto b_s = WithGaps(b, tb ? n : k, b_cols, pad);
+              std::vector<float> got = WithGaps(c0, m, n, pad);
+              Gemm(ta, tb, m, n, k, alpha, a_s.data(), a_cols + pad,
+                   b_s.data(), b_cols + pad, beta, got.data(), n + pad);
+              for (std::int64_t i = 0; i < m; ++i) {
+                const float* row = got.data() + i * (n + pad);
+                ASSERT_EQ(std::memcmp(want.data() + i * n, row,
+                                      static_cast<std::size_t>(n) *
+                                          sizeof(float)),
+                          0)
+                    << m << "x" << n << "x" << k << " ta=" << ta
+                    << " tb=" << tb << " alpha=" << alpha
+                    << " beta=" << beta << " pad=" << pad << " row " << i;
+                for (std::int64_t j = n; j < n + pad; ++j) {
+                  std::uint32_t bits;
+                  std::memcpy(&bits, row + j, sizeof(bits));
+                  ASSERT_EQ(bits, kSentinelBits)
+                      << m << "x" << n << "x" << k << " C gap written at row "
+                      << i << " pad=" << pad;
+                }
+              }
+            }
           }
         }
       }

@@ -5,8 +5,7 @@
 // reproduces its precision's reference rounding (exact for fp32, the
 // fp16 round trip, tensor/quantize's int8 dequantization), and its
 // GemmWeightT is bitwise Gemm(false, true, ...) on the DecodeRow-decoded
-// matrix — same dispatch threshold, same kernels, same summation order —
-// on both sides of the small-GEMM / packed-GEMM split.
+// matrix — same kernels, same summation order — from tiny shapes up.
 #include "tensor/gemm_backend.hpp"
 
 #include <gtest/gtest.h>
@@ -101,12 +100,12 @@ struct GemmShape {
   std::int64_t m, n, k;
 };
 const GemmShape kMatrixShapes[] = {
-    {2, 8, 8},      // small-GEMM path
-    {8, 96, 64},    // packed path, panel-aligned n
-    {4, 33, 129},   // small-path ragged: partial panel + odd k
-    {8, 33, 129},   // packed-path ragged (just over the flops threshold)
+    {2, 8, 8},      // tiny: one partial tile
+    {8, 96, 64},    // panel-aligned n
+    {4, 33, 129},   // ragged: partial panel + odd k, short m edge
+    {8, 33, 129},   // ragged: partial panel + odd k, full m tile
     {1, 40, 160},   // decode-style m=1 row
-    {1, 4100, 8},   // packed path across two kNc column blocks
+    {1, 4100, 8},   // across two kNc column blocks
 };
 
 struct AlphaBeta {

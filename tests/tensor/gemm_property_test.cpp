@@ -47,8 +47,8 @@ struct Shape {
 };
 
 TEST(GemmPropertyTest, MatchesNaiveAcrossShapesAndTransposes) {
-  // Shapes straddle the small-GEMM fallback threshold and exercise
-  // ragged micro-tile edges (m % 4, n % 32, k % 128 all nonzero).
+  // Shapes run from a single element up and exercise ragged
+  // micro-tile edges (m % 8, n % 32, k % 128 all nonzero).
   const Shape shapes[] = {
       {1, 1, 1},    {3, 5, 7},     {4, 32, 16},  {5, 33, 17},
       {17, 9, 40},  {31, 70, 19},  {64, 64, 64}, {65, 130, 129},
