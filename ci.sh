@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: release build + tests, the tensor, model and serve
-# suites in a portable (non-AVX-512) build, the common, comm, obs, optim, tensor, model,
-# serve, alloc and sim suites under AddressSanitizer + UBSan, then the
-# whole suite again under ThreadSanitizer. The runtime is thread-per-rank
-# SPMD over mailboxes, so TSan is the check that actually matters for the
-# comm layer — in particular the nonblocking request path that overlaps
-# stage-2 gradient reduction with backward.
+# suites in a portable (non-AVX-512) build, the common, comm, obs, optim,
+# tensor, model, serve, alloc, sim, core, fault and integration suites
+# under AddressSanitizer + UBSan, then the whole suite again under
+# ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes, so
+# TSan is the check that actually matters for the comm layer — in
+# particular the nonblocking request path that overlaps stage-2 gradient
+# reduction with backward.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -185,22 +186,25 @@ for knob in ZERO_PREFETCH=abc ZERO_COMM_DEADLINE_MS=-1 ZERO_QWZ=no; do
   grep -q "${knob%%=*}" build/smoke_env.err
 done
 
-echo "==> asan: common, comm, obs, optim, tensor, model, serve, alloc, sim suites"
+echo "==> asan: common, comm, obs, optim, tensor, model, serve, alloc, sim, core, fault, integration suites"
 # The environment parser (it reads outside input), the ring machines,
 # the p2p request layer and the qwZ wire format, the telemetry layer
 # (trace rings, metrics registries, the Chrome serializer and the flight
 # recorder), the fused Adam kernel (stack block buffers, __restrict
 # pointers), then the packed GEMM loop nest and its B-tile fillers, the
 # serving-weight backends and the decode path, then the allocators
-# (caching allocator, arena, host and NVMe tiers) and the cluster
-# simulator under the asan preset, with LeakSanitizer on. halt_on_error makes the first UBSan report fail
-# the run (ASan already aborts on its first report).
+# (caching allocator, arena, host and NVMe tiers), the cluster
+# simulator, then the engine and its stage strategies, the fault
+# injection and recovery paths, and the trainer end to end under the
+# asan preset, with LeakSanitizer on. halt_on_error makes the first UBSan
+# report fail the run (ASan already aborts on its first report).
 cmake --preset asan >/dev/null
 cmake --build --preset asan --target test_common test_comm test_obs \
   test_optim test_tensor test_model test_serve test_alloc test_sim \
-  -j "${JOBS}"
+  test_core test_fault test_integration -j "${JOBS}"
 for suite in test_common test_comm test_obs test_optim test_tensor \
-  test_model test_serve test_alloc test_sim; do
+  test_model test_serve test_alloc test_sim test_core test_fault \
+  test_integration; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "./build-asan/tests/${suite}"
 done
 

@@ -294,16 +294,17 @@ void ZeroDpEngine::ApplyUpdate() {
       1.0f / (static_cast<float>(nd()) * static_cast<float>(accum) *
               (cfg_.fp16 ? current_loss_scale() : 1.0f));
 
-  if (scaler_.has_value()) {
+  if (cfg_.fp16) {
     bool overflow;
     {
       TRACE_SPAN("engine/overflow_detect");
       overflow = DetectGlobalOverflow();
     }
-    if (!scaler_->Update(overflow)) {
-      // Skip this update entirely; the scale has been backed off. The
-      // strategy's post-update work (parameter all-gather, gradient
-      // zeroing) is skipped with it — grads are overwritten next step.
+    // A static scale never changes; a dynamic one backs off on overflow.
+    if (scaler_.has_value() ? !scaler_->Update(overflow) : overflow) {
+      // Skip this update entirely. The strategy's post-update work
+      // (parameter all-gather, gradient zeroing) is skipped with it —
+      // grads are overwritten next step.
       ++skipped_;
       static obs::Counter& skipped =
           obs::Metrics().counter("engine.skipped_steps");

@@ -106,7 +106,8 @@ class ZeroDpEngine final : public model::ParamProvider, public model::GradSink {
   [[nodiscard]] std::int64_t steps_taken() const { return steps_; }
   // The loss scale currently applied to emitted gradients.
   [[nodiscard]] float current_loss_scale() const;
-  // Optimizer updates skipped due to fp16 overflow (dynamic scaling).
+  // Optimizer updates skipped due to fp16 gradient overflow, under a
+  // static or a dynamic loss scale.
   [[nodiscard]] std::int64_t skipped_steps() const { return skipped_; }
   // Global (clipped-from) gradient norm of the last completed update; 0
   // before the first update or when clipping is off.

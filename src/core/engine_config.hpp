@@ -17,9 +17,11 @@ namespace zero::core {
 struct EngineConfig {
   model::ZeroStage stage = model::ZeroStage::kOsG;
   bool fp16 = true;
-  float loss_scale = 1024.0f;  // static loss scaling (fp16 only)
-  // Dynamic loss scaling: overflow steps are skipped globally and the
-  // scale adapts (overrides the static loss_scale).
+  // Static loss scale (fp16 only). An fp16 step whose gradients
+  // overflow is skipped on every rank under either scaling mode.
+  float loss_scale = 1024.0f;
+  // Dynamic loss scaling: the scale also backs off on overflow and grows
+  // after a run of clean steps (overrides the static loss_scale).
   bool dynamic_loss_scale = false;
   optim::DynamicLossScaler::Config scaler;
   // Gradient accumulation: the optimizer runs every N micro-steps;
@@ -69,11 +71,11 @@ struct EngineConfig {
   optim::AdamConfig adam;
 
   // ---- communication / compute overlap (stage 3) ----
-  // Number of schedule-ahead parameter units kept in flight by the
-  // ParamPrefetcher (core/stages/param_prefetcher.hpp): AcquireUnit
-  // completes an already-launched nonblocking gather instead of issuing
-  // a cold blocking broadcast. 0 (default) keeps the blocking path. The
-  // prefetched path is bit-exact vs blocking.
+  // Number of schedule-ahead parameter units whose gathers the
+  // ParamPrefetcher (core/stages/param_prefetcher.hpp) keeps in flight,
+  // so AcquireUnit completes an already-launched gather. 0 (default)
+  // gathers nothing ahead: each unit is gathered when it is acquired.
+  // Bit-exact at every depth.
   int prefetch_lookahead = 0;
   // Device-memory budget for in-flight prefetched units, in bytes. 0
   // derives the budget from the group-wide minimum free device memory;

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "comm/quant_collectives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tensor/kernels.hpp"
 
 namespace zero::core {
+
+using model::Phase;
 
 namespace {
 obs::Counter& HitCounter() {
@@ -25,22 +29,32 @@ obs::Counter& DerailCounter() {
 }  // namespace
 
 ParamPrefetcher::ParamPrefetcher(StageContext& ctx,
-                                 const tensor::Tensor* own_params,
-                                 const tensor::Tensor* secondary,
-                                 const Partitioner* hpz_part)
+                                 const tensor::Tensor& own_params)
     : ctx_(&ctx),
-      own_params_(own_params),
-      secondary_(secondary),
-      hpz_part_(hpz_part),
+      own_params_(&own_params),
       lookahead_(ctx.cfg->prefetch_lookahead) {
-  ZERO_CHECK(lookahead_ > 0, "ParamPrefetcher needs prefetch_lookahead > 0");
-  ZERO_CHECK((secondary == nullptr) == (hpz_part == nullptr),
-             "hpZ shard and its partitioner come together");
+  ZERO_CHECK(lookahead_ >= 0, "prefetch_lookahead must be >= 0");
+  if (!ctx.hpz) return;
+  hpz_part_.emplace(ctx.part->total(), ctx.node_size);
+  const std::size_t bytes =
+      static_cast<std::size_t>(hpz_part_->partition_size()) * sizeof(Half);
+  if (ctx.cfg->hpz_max_bytes > 0 && bytes > ctx.cfg->hpz_max_bytes) {
+    // The secondary shard does not fit the configured budget: degrade
+    // to plain stage 3 on every rank together.
+    ctx.hpz = false;
+    hpz_part_.reset();
+    return;
+  }
+  secondary_ = ctx.NewDevice(hpz_part_->partition_size(), DType::kF16);
+  secondary_.FillZero();
+  unit_captured_.assign(
+      static_cast<std::size_t>(ctx.model->layout().num_units()), 0);
 }
 
 ParamPrefetcher::~ParamPrefetcher() { CancelAll(); }
 
 void ParamPrefetcher::OnStepBegin() {
+  if (lookahead_ == 0) return;
   if (schedule_.empty()) {
     mode_ = Mode::kRecording;
     recording_.clear();
@@ -95,7 +109,7 @@ void ParamPrefetcher::EnsureBudget() {
     budget_ = static_cast<std::size_t>(
                   std::max(0.0f, -neg_free)) / 2;
   }
-  if (budget_ == 0) budget_ = 1;  // "tight" sentinel: degrade to blocking
+  if (budget_ == 0) budget_ = 1;  // "tight" sentinel: every claim misses
 }
 
 std::size_t ParamPrefetcher::UnitBytes(int u) const {
@@ -104,71 +118,50 @@ std::size_t ParamPrefetcher::UnitBytes(int u) const {
          (ctx_->cfg->fp16 ? sizeof(Half) : sizeof(float));
 }
 
-ParamPrefetcher::InFlight ParamPrefetcher::Launch(Entry e, std::size_t pos) {
-  TRACE_SPAN("params/prefetch_launch");
-  const int u = e.unit;
-  const auto [ub, ue] = ctx_->model->layout().UnitRange(u);
+ParamPrefetcher::InFlight ParamPrefetcher::Launch(Entry e) {
+  TRACE_SPAN("params/gather_launch");
+  const auto [ub, ue] = ctx_->model->layout().UnitRange(e.unit);
   const std::int64_t n = ue - ub;
   const Range unit_range{ub, ue};
-  const Range own = ctx_->part->PartitionRange(ctx_->rank());
 
   InFlight inf;
-  inf.unit = u;
-  inf.schedule_pos = pos;
-  inf.bytes = UnitBytes(u);
+  inf.bytes = UnitBytes(e.unit);
   inf.launch_ns = obs::TraceNowNs();
-  if (e.local) {
-    // hpZ backward gather: the unit resolves inside the node group from
-    // the secondary shard — fp16 byte moves, identical to what the
-    // recording step's blocking local materialization delivered.
-    ZERO_CHECK(secondary_ != nullptr && ctx_->local != nullptr,
-               "local prefetch launch without an hpZ shard");
-    inf.f16 = ctx_->NewDevice(n, DType::kF16);
-    const Range own2 = hpz_part_->PartitionRange(ctx_->local->rank());
-    for (const auto& [j2, overlap] : hpz_part_->Overlaps(unit_range)) {
-      std::span<Half> dst = inf.f16.f16().subspan(
+  // Each overlap owner copies its slice into the landing buffer and
+  // broadcasts it. hpZ backward gathers resolve inside the node group
+  // from the secondary shard (zero bytes cross the node boundary);
+  // global fp16 gathers go int8 on the wire under qwZ, dequantized on
+  // every rank, the owner included, so all replicas agree.
+  const Partitioner& part = e.local ? *hpz_part_ : *ctx_->part;
+  comm::Communicator& group = e.local ? *ctx_->local : *ctx_->dp;
+  const tensor::Tensor& src = e.local ? secondary_ : *own_params_;
+  const Range own = part.PartitionRange(group.rank());
+  auto broadcast_slices = [&]<typename T>(std::span<T> buf,
+                                          std::span<const T> mine) {
+    for (const auto& [j, overlap] : part.Overlaps(unit_range)) {
+      std::span<T> dst = buf.subspan(
           static_cast<std::size_t>(overlap.begin - ub),
           static_cast<std::size_t>(overlap.size()));
-      if (j2 == ctx_->local->rank()) {
-        std::memcpy(dst.data(),
-                    secondary_->f16().data() + (overlap.begin - own2.begin),
+      if (j == group.rank()) {
+        std::memcpy(dst.data(), mine.data() + (overlap.begin - own.begin),
                     dst.size_bytes());
       }
-      inf.reqs.push_back(comm::IBroadcast(*ctx_->local, dst, j2));
+      if constexpr (std::is_same_v<T, Half>) {
+        if (ctx_->qwz && !e.local) {
+          inf.reqs.push_back(
+              comm::IQuantBroadcast(group, dst, j, ctx_->quant_block));
+          continue;
+        }
+      }
+      inf.reqs.push_back(comm::IBroadcast(group, dst, j));
     }
-    return inf;
-  }
-  // Same owner-slice copies and per-overlap broadcasts as the blocking
-  // materialization in PosGPStrategy::AcquireUnit — only nonblocking
-  // (and int8-quantized on the wire under qwZ).
+  };
   if (ctx_->cfg->fp16) {
-    inf.f16 = ctx_->NewDevice(n, DType::kF16);
-    for (const auto& [j, overlap] : ctx_->part->Overlaps(unit_range)) {
-      std::span<Half> dst = inf.f16.f16().subspan(
-          static_cast<std::size_t>(overlap.begin - ub),
-          static_cast<std::size_t>(overlap.size()));
-      if (j == ctx_->rank()) {
-        std::memcpy(dst.data(),
-                    own_params_->f16().data() + (overlap.begin - own.begin),
-                    dst.size_bytes());
-      }
-      inf.reqs.push_back(
-          ctx_->qwz
-              ? comm::IQuantBroadcast(*ctx_->dp, dst, j, ctx_->quant_block)
-              : comm::IBroadcast(*ctx_->dp, dst, j));
-    }
+    inf.unit.f16 = ctx_->NewDevice(n, DType::kF16);
+    broadcast_slices(inf.unit.f16.f16(), src.f16());
   } else {
-    inf.f32.assign(static_cast<std::size_t>(n), 0.0f);
-    for (const auto& [j, overlap] : ctx_->part->Overlaps(unit_range)) {
-      std::span<float> dst{inf.f32.data() + (overlap.begin - ub),
-                           static_cast<std::size_t>(overlap.size())};
-      if (j == ctx_->rank()) {
-        std::memcpy(dst.data(),
-                    own_params_->f32().data() + (overlap.begin - own.begin),
-                    dst.size_bytes());
-      }
-      inf.reqs.push_back(comm::IBroadcast(*ctx_->dp, dst, j));
-    }
+    inf.unit.f32.assign(static_cast<std::size_t>(n), 0.0f);
+    broadcast_slices(std::span<float>(inf.unit.f32), src.f32());
   }
   return inf;
 }
@@ -179,10 +172,16 @@ void ParamPrefetcher::TopUp() {
     const Entry e = schedule_[next_launch_];
     const std::size_t bytes = UnitBytes(e.unit);
     // Stop — never skip — when the budget is exhausted, so launches
-    // stay in schedule order and degrade toward blocking under
-    // pressure.
+    // stay in schedule order and degrade toward on-the-spot gathers
+    // under pressure; likewise at a local entry whose unit this step's
+    // forward has not captured yet (its secondary slice is stale).
     if (bytes > budget_ - std::min(budget_, inflight_bytes_)) break;
-    inflight_.push_back(Launch(e, next_launch_));
+    if (e.local && unit_captured_[static_cast<std::size_t>(e.unit)] == 0) {
+      break;
+    }
+    InFlight inf = Launch(e);
+    inf.schedule_pos = next_launch_;
+    inflight_.push_back(std::move(inf));
     inflight_bytes_ += bytes;
     ++next_launch_;
   }
@@ -194,68 +193,90 @@ void ParamPrefetcher::Progress() {
   }
 }
 
-bool ParamPrefetcher::Claim(int u, tensor::Tensor* f16_out,
-                            std::vector<float>* f32_out, bool local) {
+ParamPrefetcher::Unit ParamPrefetcher::Gather(int u, Phase phase) {
   Progress();
-  if (mode_ != Mode::kReplaying) return false;
-  if (cursor_ >= schedule_.size() || schedule_[cursor_].unit != u ||
-      schedule_[cursor_].local != local) {
+  // hpZ gather-kind decision: backward re-gathers resolve inside the
+  // node group once the forward pass captured the unit.
+  const Entry want{u, ctx_->hpz && phase == Phase::kBackward &&
+                          unit_captured_[static_cast<std::size_t>(u)] != 0};
+  if (mode_ == Mode::kReplaying &&
+      (cursor_ >= schedule_.size() || schedule_[cursor_] != want)) {
     // Off-schedule acquire: cancel everything (all ranks see the same
-    // divergence at the same claim) and fall back to blocking.
+    // divergence at the same claim) and gather on the spot.
     Derail();
-    return false;
   }
-  const std::size_t pos = cursor_++;
-
+  const bool pipelined = mode_ == Mode::kReplaying;
   InFlight inf;
-  const bool hit =
-      !inflight_.empty() && inflight_.front().schedule_pos == pos;
-  if (hit) {
-    HitCounter().Add();
-    inf = std::move(inflight_.front());
-    inflight_.pop_front();
-    inflight_bytes_ -= std::min(inflight_bytes_, inf.bytes);
+  if (pipelined) {
+    const std::size_t pos = cursor_++;
+    if (!inflight_.empty() && inflight_.front().schedule_pos == pos) {
+      HitCounter().Add();
+      inf = std::move(inflight_.front());
+      inflight_.pop_front();
+      inflight_bytes_ -= std::min(inflight_bytes_, inf.bytes);
+    } else {
+      // Budget (or the hpZ capture rule) kept this unit from launching
+      // ahead: launch it now, fully exposed.
+      MissCounter().Add();
+      inf = Launch(want);
+      next_launch_ = std::max(next_launch_, pos + 1);
+    }
   } else {
-    // Budget (or a fresh schedule) kept this unit from launching ahead:
-    // gather it now — still through the nonblocking machines, so tag
-    // order matches the ranks that did launch ahead. Fully exposed.
-    MissCounter().Add();
-    inf = Launch(Entry{u, local}, pos);
-    next_launch_ = std::max(next_launch_, pos + 1);
+    if (mode_ == Mode::kRecording) recording_.push_back(want);
+    inf = Launch(want);
   }
 
   const std::uint64_t wait_t0 = obs::TraceNowNs();
-  {
-    TRACE_SPAN("params/prefetch_wait");
-    for (comm::CollectiveRequest& r : inf.reqs) r.Wait();
+  for (comm::CollectiveRequest& r : inf.reqs) {
+    TRACE_SPAN(pipelined ? "params/prefetch_wait" : "comm/broadcast");
+    r.Wait();
   }
-  const std::uint64_t now = obs::TraceNowNs();
-  static obs::Histogram& wait_us =
-      obs::Metrics().histogram("prefetch.wait_us");
-  wait_us.Observe(static_cast<double>(now - wait_t0) / 1000.0);
-  active_ns_ += static_cast<double>(now - inf.launch_ns);
-  exposed_ns_ += static_cast<double>(now - wait_t0);
+  if (pipelined) {
+    const std::uint64_t now = obs::TraceNowNs();
+    static obs::Histogram& wait_us =
+        obs::Metrics().histogram("prefetch.wait_us");
+    wait_us.Observe(static_cast<double>(now - wait_t0) / 1000.0);
+    active_ns_ += static_cast<double>(now - inf.launch_ns);
+    exposed_ns_ += static_cast<double>(now - wait_t0);
+  }
 
-  if (f16_out != nullptr) *f16_out = std::move(inf.f16);
-  if (f32_out != nullptr) *f32_out = std::move(inf.f32);
-  TopUp();
-  return true;
+  Unit& unit = inf.unit;
+  if (ctx_->cfg->fp16) {
+    const std::int64_t n = unit.f16.numel();
+    unit.f32.resize(static_cast<std::size_t>(n));
+    tensor::CastHalfToFloat(unit.f16.f16().data(), unit.f32.data(), n);
+  }
+  if (ctx_->hpz && phase == Phase::kForward) CaptureSecondary(u, unit.f16);
+  if (mode_ == Mode::kReplaying) TopUp();
+  return std::move(unit);
 }
 
-void ParamPrefetcher::Record(int u, bool local) {
-  if (mode_ == Mode::kRecording) recording_.push_back(Entry{u, local});
+void ParamPrefetcher::CaptureSecondary(int u, const tensor::Tensor& f16) {
+  TRACE_SPAN("params/hpz_capture");
+  const auto [ub, ue] = ctx_->model->layout().UnitRange(u);
+  const Range own2 = hpz_part_->PartitionRange(ctx_->local->rank());
+  const Range overlap = Intersect(Range{ub, ue}, own2);
+  if (!overlap.empty()) {
+    std::memcpy(secondary_.f16().data() + (overlap.begin - own2.begin),
+                f16.f16().data() + (overlap.begin - ub),
+                static_cast<std::size_t>(overlap.size()) * sizeof(Half));
+    static obs::Counter& captured =
+        obs::Metrics().counter("hpz.secondary_bytes_captured");
+    captured.Add(static_cast<double>(overlap.size()) * sizeof(Half));
+  }
+  // Even a rank whose slice misses this unit marks it: the flag means
+  // "the node group collectively holds unit u", which became true the
+  // moment every local rank executed this same gather.
+  unit_captured_[static_cast<std::size_t>(u)] = 1;
+}
+
+void ParamPrefetcher::OnParamsChanged() {
+  std::fill(unit_captured_.begin(), unit_captured_.end(), 0);
 }
 
 void ParamPrefetcher::Derail() {
   DerailCounter().Add();
-  for (InFlight& inf : inflight_) {
-    for (comm::CollectiveRequest& r : inf.reqs) r.Cancel();
-  }
-  inflight_.clear();
-  inflight_bytes_ = 0;
-  schedule_.clear();
-  recording_.clear();
-  mode_ = Mode::kIdle;
+  CancelAll();
 }
 
 void ParamPrefetcher::CancelAll() {

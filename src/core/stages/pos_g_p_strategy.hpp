@@ -5,25 +5,18 @@
 // all-gather makes total volume 3Ψ. The gradient path reuses the
 // stage-2 bucketized nonblocking reduce.
 //
-// ZeRO++ hooks (arXiv:2306.10209), engaged via StageContext:
-//   qwZ — forward/backward unit broadcasts carry blockwise-int8
-//         payloads (comm::IQuantBroadcast) instead of fp16. Lossy but
+// Every materialization is one ParamPrefetcher::Gather, at every
+// prefetch lookahead (0 included); the gather owns the ZeRO++ parameter
+// paths (arXiv:2306.10209), engaged via StageContext:
+//   qwZ — global unit broadcasts carry blockwise-int8 payloads
+//         (comm::IQuantBroadcast) instead of fp16. Lossy but
 //         rank-identical: every rank dequantizes the same wire bytes.
 //   hpZ — a secondary fp16 parameter copy sharded across the intra-node
-//         group. Forward gathers stay global and *refresh* the copy
-//         (CaptureSecondary); once a unit is captured, its backward
-//         re-gather resolves entirely inside the node group over the
-//         local communicator — zero cross-node bytes on the backward
-//         half of stage 3's 3Ψ. An optimizer update staleness-clears
-//         all captures. hpZ alone is bit-exact vs plain stage 3: the
-//         captured bytes are exact copies of what the global gather
-//         delivered.
+//         group, captured by forward gathers, serves backward gathers
+//         inside the node group. Bit-exact vs plain stage 3.
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <optional>
-#include <vector>
 
 #include "core/stages/grad_bucketizer.hpp"
 #include "core/stages/param_prefetcher.hpp"
@@ -33,7 +26,9 @@ namespace zero::core {
 
 class PosGPStrategy final : public StageStrategy {
  public:
-  using StageStrategy::StageStrategy;
+  // Allocates the parameter and gradient partitions (and, under hpZ,
+  // the gather's secondary shard).
+  explicit PosGPStrategy(StageContext& ctx);
 
   [[nodiscard]] const char* name() const override { return "pos-g-p"; }
   [[nodiscard]] bool params_partitioned() const override { return true; }
@@ -42,14 +37,14 @@ class PosGPStrategy final : public StageStrategy {
   std::span<const float> AcquireUnit(int u, model::Phase phase) override;
   void ReleaseUnit(int u, model::Phase phase) override;
   void OnStepBegin() override {
-    bucketizer_->BeginStep();
-    if (prefetcher_.has_value()) prefetcher_->OnStepBegin();
+    bucketizer_.BeginStep();
+    prefetcher_.OnStepBegin();
   }
   void EmitUnitGrad(int u, std::span<const float> grad) override {
     // Drive in-flight prefetched gathers from the backward compute path
     // (ring chunks forward while this rank is busy with gradients).
-    if (prefetcher_.has_value()) prefetcher_->Progress();
-    bucketizer_->Emit(u, grad);
+    prefetcher_.Progress();
+    bucketizer_.Emit(u, grad);
   }
   void ReduceGradients() override;
   std::span<const Half> ReducedF16() override { return grads_.f16(); }
@@ -59,10 +54,7 @@ class PosGPStrategy final : public StageStrategy {
   std::span<float> UpdateTargetF32() override { return params_.f32(); }
   void OnUpdateApplied() override {
     grads_.FillZero();
-    // The update changed params_: every hpZ secondary copy is stale
-    // until the next forward refreshes it.
-    if (!unit_captured_.empty())
-      unit_captured_.assign(unit_captured_.size(), 0);
+    prefetcher_.OnParamsChanged();
   }
   void ImportMasterParams(std::span<const float> padded_master) override;
   void ResetInFlight() override;
@@ -76,35 +68,17 @@ class PosGPStrategy final : public StageStrategy {
 
  private:
   void WriteParams(const float* padded_src);
-  // Copies this rank's hpz_part_ slice of the freshly materialized unit
-  // into the secondary shard and marks the unit locally gatherable.
-  void CaptureSecondary(int u, const tensor::Tensor& f16);
 
   struct MaterializedUnit {
-    tensor::Tensor f16;      // gathered fp16 unit (device-accounted)
-    std::vector<float> f32;  // what the model actually reads
+    ParamPrefetcher::Unit unit;
     int refcount = 0;
   };
 
   tensor::Tensor params_;  // this rank's partition (1/Nd)
   tensor::Tensor grads_;   // this rank's reduced partition (1/Nd)
-  std::optional<GradBucketizer> bucketizer_;
-  // Look-ahead gather pipeline (EngineConfig::prefetch_lookahead > 0);
-  // bit-exact vs the blocking materialization below.
-  std::optional<ParamPrefetcher> prefetcher_;
+  GradBucketizer bucketizer_;
+  ParamPrefetcher prefetcher_;
   std::map<int, MaterializedUnit> units_;
-
-  // hpZ secondary parameter copy: the full fp16 parameter space sharded
-  // across the *intra-node* group (1/s per rank, s = node_size) — the
-  // paper's "memory for communication" trade. Empty unless
-  // StageContext::hpz survived the budget check.
-  tensor::Tensor secondary_;
-  std::optional<Partitioner> hpz_part_;
-  // Per-unit: 1 while the node group collectively holds a fresh copy of
-  // the unit (set at forward materialization, cleared on update/import).
-  // SPMD-identical by construction — every rank materializes the same
-  // units in the same order and applies updates collectively.
-  std::vector<std::uint8_t> unit_captured_;
 };
 
 }  // namespace zero::core

@@ -60,11 +60,12 @@ std::vector<std::byte> TrainingState::Serialize() const {
   std::byte* p = out.data();
   std::memcpy(p, &header, sizeof(Header));
   p += sizeof(Header);
-  std::memcpy(p, master.data(), array_bytes);
-  p += array_bytes;
-  std::memcpy(p, momentum.data(), array_bytes);
-  p += array_bytes;
-  std::memcpy(p, variance.data(), array_bytes);
+  // An empty state's arrays have a null data(), which memcpy must not
+  // be handed even for zero bytes.
+  for (const std::vector<float>* a : {&master, &momentum, &variance}) {
+    if (!a->empty()) std::memcpy(p, a->data(), array_bytes);
+    p += array_bytes;
+  }
   return out;
 }
 
@@ -104,11 +105,11 @@ TrainingState TrainingState::Deserialize(std::span<const std::byte> bytes) {
   state.momentum.resize(state.master.size());
   state.variance.resize(state.master.size());
   const std::byte* p = bytes.data() + header_bytes;
-  std::memcpy(state.master.data(), p, array_bytes);
-  p += array_bytes;
-  std::memcpy(state.momentum.data(), p, array_bytes);
-  p += array_bytes;
-  std::memcpy(state.variance.data(), p, array_bytes);
+  for (std::vector<float>* a : {&state.master, &state.momentum,
+                                &state.variance}) {
+    if (!a->empty()) std::memcpy(a->data(), p, array_bytes);
+    p += array_bytes;
+  }
   return state;
 }
 

@@ -81,21 +81,16 @@ TrainResult TrainGpt(const TrainOptions& options) {
     fr.dir = telemetry.postmortem_dir;
     obs::EnableFlightRecorder(fr);
   }
-  // Rank-0 measurements feeding the step report, captured inside Run.
-  double measured_state_bytes = 0;
-  double measured_comm_bytes = 0;
-  double measured_local_comm_bytes = 0;  // intra-node ledger (hpZ/qgZ)
-  double measured_wire_int8 = 0;         // comm.wire.* counter deltas
-  double measured_wire_scales = 0;
-  bool measured_qwz = false, measured_hpz = false, measured_qgz = false;
-  double measured_overlap_frac = -1.0;  // -1 = prefetch off
-  std::string measured_offload_tier;    // empty = device-resident
-  double measured_host_in_use = 0;
-  double measured_host_peak = 0;
-  double measured_offload_to_tier = 0;
-  double measured_offload_to_device = 0;
-  double measured_offload_hidden = -1.0;
-  int comm_steps_measured = 0;
+  // Step-report inputs measured on rank 0 inside Run; the comm ledger
+  // covers `report_in.steps` steady-state steps (0 = nothing measured).
+  obs::StepReportInputs report_in;
+  report_in.stage = static_cast<int>(options.engine.stage);
+  report_in.nd = options.cluster.dp_degree;
+  report_in.fp16 = options.engine.fp16;
+  report_in.quant_block = options.engine.quant_block;
+  report_in.ranks_per_node = options.engine.ranks_per_node;
+  report_in.world_size = world_size;
+  report_in.steps = 0;
   std::vector<std::string> step_metric_snapshots;
 
   TrainResult result;
@@ -234,43 +229,43 @@ TrainResult TrainGpt(const TrainOptions& options) {
       if (ctx.rank == 0) {
         std::lock_guard<std::mutex> lock(result_mutex);
         result.validation_losses = std::move(local_validation);
-        measured_state_bytes =
+        report_in.measured_state_bytes =
             static_cast<double>(metrics.model_states.total());
-        measured_comm_bytes =
+        report_in.measured_comm_bytes =
             static_cast<double>(dp_delta.Delta().bytes_sent);
         if (local_delta.has_value()) {
-          measured_local_comm_bytes =
+          report_in.measured_local_comm_bytes =
               static_cast<double>(local_delta->Delta().bytes_sent);
         }
-        measured_wire_int8 =
+        report_in.wire_int8_bytes =
             obs::Metrics().counter("comm.wire.int8_bytes").value() -
             wire_int8_base;
-        measured_wire_scales =
+        report_in.wire_scale_bytes =
             obs::Metrics().counter("comm.wire.scale_bytes").value() -
             wire_scale_base;
-        measured_qwz = engine.qwz_active();
-        measured_hpz = engine.hpz_active();
-        measured_qgz = engine.qgz_active();
+        report_in.qwz = engine.qwz_active();
+        report_in.hpz = engine.hpz_active();
+        report_in.qgz = engine.qgz_active();
         if (options.engine.prefetch_lookahead > 0) {
-          measured_overlap_frac =
+          report_in.overlap_frac =
               obs::Metrics().gauge("comm.overlap_frac").value();
         }
         if (options.engine.offload_tier != alloc::TierKind::kDevice) {
-          measured_offload_tier =
+          report_in.offload_tier =
               alloc::TierKindName(options.engine.offload_tier);
           const alloc::HostStats hs = host_mem.Stats();
-          measured_host_in_use = static_cast<double>(hs.in_use);
-          measured_host_peak = static_cast<double>(hs.peak_in_use);
+          report_in.host_in_use_bytes = static_cast<double>(hs.in_use);
+          report_in.host_peak_bytes = static_cast<double>(hs.peak_in_use);
           if (const alloc::ChannelStats* cs =
                   engine.offload_channel_stats()) {
-            measured_offload_to_tier =
+            report_in.offload_bytes_to_tier =
                 static_cast<double>(cs->bytes_to_tier);
-            measured_offload_to_device =
+            report_in.offload_bytes_to_device =
                 static_cast<double>(cs->bytes_to_device);
-            measured_offload_hidden = cs->hidden_fraction();
+            report_in.offload_hidden_frac = cs->hidden_fraction();
           }
         }
-        comm_steps_measured = steps_measured;
+        report_in.steps = steps_measured;
         step_metric_snapshots = std::move(local_snapshots);
       }
     } catch (const DeviceOomError& e) {
@@ -360,33 +355,10 @@ TrainResult TrainGpt(const TrainOptions& options) {
       text += "]\n";
       obs::WriteTextFile(telemetry.metrics_path, text);
     }
-    if (!result.oom && comm_steps_measured > 0) {
-      obs::StepReportInputs in;
-      in.stage = static_cast<int>(options.engine.stage);
-      in.nd = options.cluster.dp_degree;
-      in.fp16 = options.engine.fp16;
-      in.psi = static_cast<double>(result.psi);
-      in.padded_psi = static_cast<double>(result.padded_psi);
-      in.measured_state_bytes = measured_state_bytes;
-      in.measured_comm_bytes = measured_comm_bytes;
-      in.steps = comm_steps_measured;
-      in.overlap_frac = measured_overlap_frac;
-      in.offload_tier = measured_offload_tier;
-      in.host_in_use_bytes = measured_host_in_use;
-      in.host_peak_bytes = measured_host_peak;
-      in.offload_bytes_to_tier = measured_offload_to_tier;
-      in.offload_bytes_to_device = measured_offload_to_device;
-      in.offload_hidden_frac = measured_offload_hidden;
-      in.qwz = measured_qwz;
-      in.hpz = measured_hpz;
-      in.qgz = measured_qgz;
-      in.quant_block = options.engine.quant_block;
-      in.ranks_per_node = options.engine.ranks_per_node;
-      in.measured_local_comm_bytes = measured_local_comm_bytes;
-      in.wire_int8_bytes = measured_wire_int8;
-      in.wire_scale_bytes = measured_wire_scales;
-      in.world_size = world_size;
-      in.trace_dropped_events =
+    if (!result.oom && report_in.steps > 0) {
+      report_in.psi = static_cast<double>(result.psi);
+      report_in.padded_psi = static_cast<double>(result.padded_psi);
+      report_in.trace_dropped_events =
           static_cast<double>(timeline.dropped_events);
       // Step anatomy: same warm-up convention as the comm ledger — drop
       // step 0 from the averages when more than one step was traced.
@@ -394,9 +366,9 @@ TrainResult TrainGpt(const TrainOptions& options) {
           obs::AnalyzeSteps(timeline);
       const obs::AnatomySummary summary =
           obs::SummarizeAnatomy(anatomy, anatomy.size() > 1 ? 1 : 0);
-      in.anatomy_steps = summary.steps;
-      in.straggler_rank = summary.straggler_rank;
-      in.straggler_steps = summary.straggler_steps;
+      report_in.anatomy_steps = summary.steps;
+      report_in.straggler_rank = summary.straggler_rank;
+      report_in.straggler_steps = summary.straggler_steps;
       for (const obs::RankAggregate& ra : summary.ranks) {
         obs::StepReportInputs::RankAnatomy a;
         a.rank = ra.rank;
@@ -412,9 +384,9 @@ TrainResult TrainGpt(const TrainOptions& options) {
                   .gauge("comm.overlap_frac.rank" + std::to_string(ra.rank))
                   .value();
         }
-        in.anatomy_ranks.push_back(a);
+        report_in.anatomy_ranks.push_back(a);
       }
-      obs::StepReport report = obs::BuildStepReport(in);
+      obs::StepReport report = obs::BuildStepReport(report_in);
       if (telemetry.validate) {
         ZLOG_INFO << "step report: " << report.Summary();
         for (const std::string& d : report.divergences) {

@@ -207,44 +207,65 @@ TEST(ClippingTest, ClipChangesTrajectoryWhenNormExceedsLimit) {
   EXPECT_GT(differing, 0);
 }
 
-TEST(DynamicScalingTest, OverflowStepsAreSkippedGloballyThenRecover) {
-  // QuadModel gradients are O(1); an initial scale of 65536 pushes them
-  // past fp16 max (65504), so early steps overflow until the scaler
-  // backs off far enough, after which training proceeds.
+// Both loss-scale modes start at 65536, which pushes QuadModel's O(1)
+// gradients past fp16 max (65504). The parameter is whether the scale is
+// dynamic (backs off on overflow) or static (never changes); either way
+// an overflowed step is skipped on every rank instead of feeding
+// non-finite gradients to Adam.
+class DynamicScalingTest : public ::testing::TestWithParam<bool> {};
+
+EngineConfig OverflowingFp16(ZeroStage stage, bool dynamic) {
+  EngineConfig cfg;
+  cfg.stage = stage;
+  cfg.fp16 = true;
+  cfg.dynamic_loss_scale = dynamic;
+  cfg.scaler.init_scale = 65536.0f;
+  cfg.loss_scale = 65536.0f;
+  return cfg;
+}
+
+TEST_P(DynamicScalingTest, OverflowStepsAreSkippedGloballyThenRecover) {
+  // Early steps overflow; a dynamic scale backs off far enough that
+  // training proceeds, a static one keeps skipping.
+  const bool dynamic = GetParam();
   const int nd = 2;
   const std::int64_t numel = 64;
   comm::World world(nd);
   world.Run([&](comm::RankContext& ctx) {
     comm::Communicator dp = comm::Communicator::WholeWorld(ctx);
     model::QuadModel m(numel, 2);
-    EngineConfig cfg;
-    cfg.stage = ZeroStage::kOsG;
-    cfg.fp16 = true;
-    cfg.dynamic_loss_scale = true;
-    cfg.scaler.init_scale = 65536.0f;
+    EngineConfig cfg = OverflowingFp16(ZeroStage::kOsG, dynamic);
     cfg.scaler.backoff_factor = 0.5f;
     ZeroDpEngine engine(cfg, m, dp, nullptr, 9);
     const std::vector<float> before = engine.GatherFullParams();
 
     (void)engine.TrainStep(RankBatch(ctx.rank, 0));
-    // First step must have been skipped: params untouched, scale halved.
+    // First step must have been skipped: params untouched; a dynamic
+    // scale is halved, a static one stays.
     const std::vector<float> after_skip = engine.GatherFullParams();
     EXPECT_EQ(before, after_skip);
     EXPECT_EQ(engine.skipped_steps(), 1);
-    EXPECT_EQ(engine.current_loss_scale(), 32768.0f);
+    EXPECT_EQ(engine.current_loss_scale(), dynamic ? 32768.0f : 65536.0f);
 
-    // Keep going: the scale decays until updates apply.
     for (int step = 1; step < 12; ++step) {
       (void)engine.TrainStep(RankBatch(ctx.rank, step));
     }
-    EXPECT_GT(engine.skipped_steps(), 0);
-    EXPECT_LT(engine.skipped_steps(), 12);
     const std::vector<float> final_params = engine.GatherFullParams();
-    EXPECT_NE(before, final_params);  // training eventually progressed
+    if (dynamic) {
+      // The scale decays until updates apply.
+      EXPECT_GT(engine.skipped_steps(), 0);
+      EXPECT_LT(engine.skipped_steps(), 12);
+      EXPECT_NE(before, final_params);  // training eventually progressed
+    } else {
+      EXPECT_EQ(engine.current_loss_scale(), 65536.0f);
+      EXPECT_EQ(engine.skipped_steps(), 12);
+      EXPECT_EQ(before, final_params);
+    }
+    for (float p : final_params) ASSERT_TRUE(std::isfinite(p));
   });
 }
 
-TEST(DynamicScalingTest, AllRanksAgreeOnSkips) {
+TEST_P(DynamicScalingTest, AllRanksAgreeOnSkips) {
   // The overflow flag is all-reduced, so skipped_steps must be identical
   // on every rank even though only some shards contain the overflow.
   const int nd = 4;
@@ -253,21 +274,24 @@ TEST(DynamicScalingTest, AllRanksAgreeOnSkips) {
   world.Run([&](comm::RankContext& ctx) {
     comm::Communicator dp = comm::Communicator::WholeWorld(ctx);
     model::QuadModel m(101, 3);
-    EngineConfig cfg;
-    cfg.stage = ZeroStage::kOsGP;
-    cfg.fp16 = true;
-    cfg.dynamic_loss_scale = true;
-    cfg.scaler.init_scale = 65536.0f;
-    ZeroDpEngine engine(cfg, m, dp, nullptr, 2);
+    ZeroDpEngine engine(OverflowingFp16(ZeroStage::kOsGP, GetParam()), m, dp,
+                        nullptr, 2);
     for (int step = 0; step < 8; ++step) {
       (void)engine.TrainStep(RankBatch(ctx.rank, step));
     }
     skipped[static_cast<std::size_t>(ctx.rank)] = engine.skipped_steps();
   });
+  EXPECT_GT(skipped[0], 0);
   for (int r = 1; r < nd; ++r) {
     EXPECT_EQ(skipped[0], skipped[static_cast<std::size_t>(r)]);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(LossScales, DynamicScalingTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "dynamic" : "static";
+                         });
 
 TEST(EvalTest, EvalLossMatchesTrainLossAndLeavesStateUntouched) {
   const int nd = 2;

@@ -1,12 +1,16 @@
 // Stage-3 parameter prefetch (core/stages/param_prefetcher.hpp) must be
 // a pure latency optimization: every trajectory it produces — losses,
-// fp16 parameters, fp32 master state — must be bit-identical to the
-// blocking broadcast-on-demand path at every lookahead depth, in every
-// precision mode, under accumulation, and when the memory budget forces
-// it back to blocking.
+// fp16 parameters, fp32 master state — must be bit-identical to
+// lookahead 0 (each unit gathered at its claim) at every lookahead
+// depth, under every ZeRO++ parameter path, in every precision mode,
+// under accumulation, and when the memory budget forces every claim to
+// gather on the spot.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -62,14 +66,38 @@ Trajectory RunTraining(EngineConfig cfg, int nd, int steps,
   return out;
 }
 
-class PrefetchLookaheadTest : public ::testing::TestWithParam<int> {};
+// The ZeRO++ parameter paths a stage-3 gather can take: qwZ changes the
+// wire format of global gathers, hpZ serves backward gathers from the
+// intra-node secondary shard the forward gathers captured.
+struct ZeroppFlags {
+  const char* name;
+  bool qwz;
+  bool hpz;
+};
 
-TEST_P(PrefetchLookaheadTest, Stage3Fp16BitExactVsBlocking) {
-  const int lookahead = GetParam();
+void PrintTo(const ZeroppFlags& flags, std::ostream* os) { *os << flags.name; }
+
+EngineConfig Stage3Fp16(ZeroppFlags flags) {
   EngineConfig cfg;
   cfg.stage = ZeroStage::kOsGP;
   cfg.fp16 = true;
   cfg.bucket_elems = 16;
+  cfg.qwz = flags.qwz;
+  cfg.hpz = flags.hpz;
+  cfg.ranks_per_node = 2;
+  return cfg;
+}
+
+class PrefetchLookaheadTest
+    : public ::testing::TestWithParam<std::tuple<int, ZeroppFlags>> {};
+
+TEST_P(PrefetchLookaheadTest, Stage3Fp16BitExactVsBlocking) {
+  // Lookahead 0 gathers every unit at its claim; deeper pipelines must
+  // deliver the same bytes. Under hpZ this pins the capture-before-
+  // local-launch rule: a backward gather launched ahead of the forward
+  // capture would read the secondary shard from before the update.
+  const auto [lookahead, flags] = GetParam();
+  EngineConfig cfg = Stage3Fp16(flags);
   const Trajectory blocking = RunTraining(cfg, 4, 5, 131, 5, 7);
   cfg.prefetch_lookahead = lookahead;
   const Trajectory prefetched = RunTraining(cfg, 4, 5, 131, 5, 7);
@@ -77,8 +105,30 @@ TEST_P(PrefetchLookaheadTest, Stage3Fp16BitExactVsBlocking) {
   EXPECT_EQ(prefetched.state, blocking.state);
 }
 
-INSTANTIATE_TEST_SUITE_P(Lookaheads, PrefetchLookaheadTest,
-                         ::testing::Values(1, 2, 4));
+INSTANTIATE_TEST_SUITE_P(
+    Lookaheads, PrefetchLookaheadTest,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(ZeroppFlags{"plain", false, false},
+                                         ZeroppFlags{"qwz", true, false},
+                                         ZeroppFlags{"hpz", false, true},
+                                         ZeroppFlags{"qwz_hpz", true, true})),
+    [](const ::testing::TestParamInfo<PrefetchLookaheadTest::ParamType>& p) {
+      return std::to_string(std::get<0>(p.param)) + "_" +
+             std::get<1>(p.param).name;
+    });
+
+TEST(PrefetchTest, HpzAtLookahead0BitExactVsPlainStage3) {
+  // The secondary shard holds exact copies of what the forward gathers
+  // delivered, so serving backward gathers from it changes no bits.
+  for (const bool qwz : {false, true}) {
+    const Trajectory plain =
+        RunTraining(Stage3Fp16({"", qwz, false}), 4, 5, 131, 5, 7);
+    const Trajectory hpz =
+        RunTraining(Stage3Fp16({"", qwz, true}), 4, 5, 131, 5, 7);
+    EXPECT_EQ(hpz.losses, plain.losses) << "qwz=" << qwz;
+    EXPECT_EQ(hpz.state, plain.state) << "qwz=" << qwz;
+  }
+}
 
 TEST(PrefetchTest, AllStagesUnaffectedByPrefetchConfig) {
   // prefetch_lookahead is a stage-3 knob; setting it on any stage must
