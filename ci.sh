@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: release build + tests, the tensor, model and serve
-# suites in a portable (non-AVX-512) build, the common, comm, obs, optim,
-# tensor, model, serve, alloc, sim, core, fault and integration suites
-# under AddressSanitizer + UBSan, then the whole suite again under
+# CI entry point: release build + tests, the common, tensor, model and
+# serve suites in a portable (non-AVX-512) build, the common, comm, obs,
+# optim, tensor, model, serve, alloc, sim, core, fault and integration
+# suites under AddressSanitizer + UBSan, then the whole suite again under
 # ThreadSanitizer. The runtime is thread-per-rank SPMD over mailboxes, so
 # TSan is the check that actually matters for the comm layer — in
 # particular the nonblocking request path that overlaps stage-2 gradient
@@ -17,16 +17,19 @@ cmake --preset release >/dev/null
 cmake --build --preset release -j "${JOBS}"
 ctest --preset release -j "${JOBS}"
 
-echo "==> portable: non-AVX-512 build of the tensor, model and serve suites"
+echo "==> portable: non-AVX-512 build of the common, tensor, model and serve suites"
 # Without -march=native the kernels compile to their generic loops (no
 # __AVX512F__): this keeps that fallback building and holds it to the
 # same bitwise tests, DESIGN.md §9's contract reference among them. The
-# model suite runs the strided attention forward and backward through
-# the generic micro-kernel, and the serve suite runs the fp16 serving
-# weights through its per-element B widening end to end.
+# common suite holds the generic fp16 bulk decode and scaled encode
+# loops to HalfLutTest's exhaustive memcmp. The model suite runs the
+# strided attention forward and backward through the generic
+# micro-kernel, and the serve suite runs the fp16 serving weights
+# through its per-element B widening end to end.
 cmake -S . -B build-portable -DZERO_NATIVE_ARCH=OFF >/dev/null
-cmake --build build-portable --target test_tensor test_model test_serve \
-  -j "${JOBS}"
+cmake --build build-portable --target test_common test_tensor test_model \
+  test_serve -j "${JOBS}"
+./build-portable/tests/test_common
 ./build-portable/tests/test_tensor
 ./build-portable/tests/test_model
 ./build-portable/tests/test_serve

@@ -77,55 +77,6 @@ void TransferChannel::WaitUntil(std::uint64_t ready_ns) {
 }
 
 // ---------------------------------------------------------------------------
-// DeviceTier
-
-std::size_t DeviceTier::CreateRegion(std::size_t bytes) {
-  Region r;
-  if (device_ != nullptr) {
-    r.block = device_->Malloc(bytes);
-    std::memset(r.block.data(), 0, bytes);
-    r.bytes = {r.block.data(), bytes};
-  } else {
-    r.heap.resize(bytes);
-    r.bytes = {r.heap.data(), bytes};
-  }
-  const std::size_t id = next_region_++;
-  regions_.emplace(id, std::move(r));
-  return id;
-}
-
-void DeviceTier::ReleaseRegion(std::size_t region) {
-  auto it = regions_.find(region);
-  ZERO_CHECK(it != regions_.end(), "releasing unknown device-tier region");
-  regions_.erase(it);
-}
-
-std::span<std::byte> DeviceTier::ResidentBytes(std::size_t region) {
-  auto it = regions_.find(region);
-  ZERO_CHECK(it != regions_.end(), "addressing unknown device-tier region");
-  return it->second.bytes;
-}
-
-TransferRequest DeviceTier::FetchAsync(std::size_t region, std::size_t offset,
-                                       std::span<std::byte> dst) {
-  const std::span<std::byte> src = ResidentBytes(region);
-  ZERO_CHECK(offset + dst.size() <= src.size(), "device-tier fetch overflow");
-  std::memcpy(dst.data(), src.data() + offset, dst.size());
-  return {};
-}
-
-TransferRequest DeviceTier::StoreAsync(std::size_t region, std::size_t offset,
-                                       std::span<const std::byte> src) {
-  const std::span<std::byte> dst = ResidentBytes(region);
-  ZERO_CHECK(offset + src.size() <= dst.size(), "device-tier store overflow");
-  std::memcpy(dst.data() + offset, src.data(), src.size());
-  return {};
-}
-
-TransferRequest DeviceTier::SubmitToTier(std::size_t) { return {}; }
-TransferRequest DeviceTier::SubmitToDevice(std::size_t) { return {}; }
-
-// ---------------------------------------------------------------------------
 // HostTier
 
 HostTier::~HostTier() {
@@ -247,18 +198,17 @@ TransferRequest NvmeTier::SubmitToDevice(std::size_t bytes) {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<StorageTier> MakeStorageTier(TierKind kind, HostMemory* host,
-                                             CachingAllocator* device,
                                              double bandwidth) {
   switch (kind) {
     case TierKind::kDevice:
-      return std::make_unique<DeviceTier>(device);
+      break;  // no tier: the state stays on the device
     case TierKind::kHost:
       ZERO_CHECK(host != nullptr, "host tier requires a HostMemory pool");
       return std::make_unique<HostTier>(host, bandwidth);
     case TierKind::kNvme:
       return std::make_unique<NvmeTier>(bandwidth);
   }
-  ZERO_CHECK(false, "unknown storage tier");
+  ZERO_CHECK(false, std::string("no storage tier for ") + TierKindName(kind));
   return nullptr;
 }
 

@@ -5,8 +5,8 @@
 // to live on the device. This header abstracts *where* they live behind
 // a small contract:
 //
-//   StorageTier     owns persistent byte regions in one tier (device,
-//                   host DRAM, or simulated NVMe) and moves slices of
+//   StorageTier     owns persistent byte regions in one off-device tier
+//                   (host DRAM or simulated NVMe) and moves slices of
 //                   them across the device link.
 //   TransferChannel a serialized, configurable-bandwidth link. Like the
 //                   rest of the runtime, the simulation moves real bytes
@@ -35,13 +35,12 @@
 #include <string>
 #include <vector>
 
-#include "alloc/caching_allocator.hpp"
 #include "alloc/host_memory.hpp"
 
 namespace zero::alloc {
 
 enum class TierKind : unsigned char {
-  kDevice,  // state stays in device memory (the non-offloaded baseline)
+  kDevice,  // no tier: the state stays on the device (no StorageTier)
   kHost,    // host DRAM behind a PCIe-like link (ZeRO-Offload)
   kNvme,    // simulated NVMe behind a slower link (ZeRO-Infinity)
 };
@@ -72,8 +71,7 @@ struct ChannelStats {
 class TransferChannel;
 
 // Waitable handle for one link transfer. Default-constructed requests
-// are already done (used by the device tier, which has no link to
-// cross). Copyable: all copies share one completion state.
+// are already done. Copyable: all copies share one completion state.
 class TransferRequest {
  public:
   TransferRequest() = default;
@@ -153,40 +151,8 @@ class StorageTier {
   [[nodiscard]] virtual TransferRequest SubmitToTier(std::size_t bytes) = 0;
   [[nodiscard]] virtual TransferRequest SubmitToDevice(std::size_t bytes) = 0;
 
-  // The simulated link; null for the device tier (state never crosses
-  // a link).
+  // The tier's simulated link (never null).
   [[nodiscard]] virtual TransferChannel* channel() = 0;
-};
-
-// Device tier: regions live in device memory (through `device` when
-// provided, heap otherwise); every request is immediately done.
-class DeviceTier final : public StorageTier {
- public:
-  explicit DeviceTier(CachingAllocator* device) : device_(device) {}
-
-  [[nodiscard]] TierKind kind() const override { return TierKind::kDevice; }
-  [[nodiscard]] std::size_t CreateRegion(std::size_t bytes) override;
-  void ReleaseRegion(std::size_t region) override;
-  [[nodiscard]] std::span<std::byte> ResidentBytes(std::size_t region) override;
-  [[nodiscard]] TransferRequest FetchAsync(std::size_t region,
-                                           std::size_t offset,
-                                           std::span<std::byte> dst) override;
-  [[nodiscard]] TransferRequest StoreAsync(
-      std::size_t region, std::size_t offset,
-      std::span<const std::byte> src) override;
-  [[nodiscard]] TransferRequest SubmitToTier(std::size_t bytes) override;
-  [[nodiscard]] TransferRequest SubmitToDevice(std::size_t bytes) override;
-  [[nodiscard]] TransferChannel* channel() override { return nullptr; }
-
- private:
-  struct Region {
-    CachedBlock block;               // when device-backed
-    std::vector<std::byte> heap;     // when heap-backed
-    std::span<std::byte> bytes;
-  };
-  CachingAllocator* device_;
-  std::map<std::size_t, Region> regions_;
-  std::size_t next_region_ = 1;
 };
 
 // Host tier: regions live in a HostMemory pool (so alloc.host.* metrics
@@ -253,11 +219,10 @@ class NvmeTier final : public StorageTier {
   void PublishGauges() const;
 };
 
-// Builds the tier for `kind`. `host` backs the host tier (required for
-// kHost); `device` backs device-tier regions (may be null). `bandwidth`
-// is the link speed in bytes/second (0 = instant).
+// Builds the tier for `kind` (kHost or kNvme; kDevice has no tier).
+// `host` backs the host tier (required for kHost). `bandwidth` is the
+// link speed in bytes/second (0 = instant).
 [[nodiscard]] std::unique_ptr<StorageTier> MakeStorageTier(
-    TierKind kind, HostMemory* host, CachingAllocator* device,
-    double bandwidth);
+    TierKind kind, HostMemory* host, double bandwidth);
 
 }  // namespace zero::alloc

@@ -43,9 +43,8 @@ NodeTopology::NodeTopology(const Communicator& within, int per_node)
       parent_low_(within.group_id() & 0xF) {
   ZERO_CHECK(per_node >= 1, "ranks_per_node must be positive");
   // Uneven worlds degrade cleanly: the last node is simply short (ceil
-  // division), single-rank nodes make every member its own leader, and
-  // per_node > size collapses to one node spanning the whole group. The
-  // leaders' group always has one member per node — never empty.
+  // division), and per_node > size collapses to one node spanning the
+  // whole group.
   nodes = (within.size() + per_node - 1) / per_node;
 }
 
@@ -65,26 +64,11 @@ std::vector<int> NodeTopology::LocalMembers(int group_rank) const {
           members.begin() + static_cast<std::ptrdiff_t>(end)};
 }
 
-std::vector<int> NodeTopology::LeaderMembers() const {
-  std::vector<int> leaders(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    leaders[static_cast<std::size_t>(n)] =
-        members[static_cast<std::size_t>(n * ranks_per_node)];
-  }
-  return leaders;
-}
-
 Communicator NodeTopology::MakeLocalComm(RankContext& ctx) const {
   const int g = GroupRankOf(ctx.rank);
   return Communicator(ctx, LocalMembers(g),
                       kLocalGroupBase + (parent_low_ << 4) +
                           static_cast<std::uint64_t>(NodeIndex(g) & 0xF));
-}
-
-Communicator NodeTopology::MakeLeadersComm(RankContext& ctx) const {
-  const int g = GroupRankOf(ctx.rank);
-  ZERO_CHECK(IsLeader(g), "only local-rank-0 members join the leaders group");
-  return Communicator(ctx, LeaderMembers(), kLeadersGroupBase + parent_low_);
 }
 
 }  // namespace zero::comm

@@ -41,20 +41,15 @@ struct GridTopology {
 };
 
 // Node-aware slicing of an existing communicator (the engine's DP group)
-// into "nodes" of `ranks_per_node` consecutive group ranks, for the
-// two-level schedules in comm/hierarchical.hpp: an intra-node local
-// group per block, and one cross-node leaders' group holding each
-// block's first member.
-//
-// SPMD usage mirrors HierarchicalAllReduce's contract: every rank builds
-// its local communicator; only ranks with IsLeader() true may build the
-// leaders' communicator.
+// into "nodes" of `ranks_per_node` consecutive group ranks: each rank
+// builds the intra-node local group of its block. ZeRO++'s hpZ secondary
+// shard and qgZ intra-node gradient fold (arXiv:2306.10209) run on it.
 struct NodeTopology {
   // `within` supplies the member list being sliced. The size need not
   // divide evenly by ranks_per_node: the last node is short (ceil
   // division) and uniform() reports false. Schedules that require equal
-  // node sizes (hierarchical all-reduce, hpZ/qgZ) must check uniform()
-  // and fall back to flat when it does not hold.
+  // node sizes (hpZ/qgZ) must check uniform() and fall back to flat when
+  // it does not hold.
   NodeTopology(const Communicator& within, int ranks_per_node);
 
   int ranks_per_node = 1;
@@ -65,16 +60,12 @@ struct NodeTopology {
   // groups of different parents may alias ids, which is harmless: their
   // member sets are disjoint, and mailbox matching is (source, tag).
   static constexpr std::uint64_t kLocalGroupBase = 0x300;
-  static constexpr std::uint64_t kLeadersGroupBase = 0x400;
 
   [[nodiscard]] int NodeIndex(int group_rank) const {
     return group_rank / ranks_per_node;
   }
   [[nodiscard]] int LocalRank(int group_rank) const {
     return group_rank % ranks_per_node;
-  }
-  [[nodiscard]] bool IsLeader(int group_rank) const {
-    return LocalRank(group_rank) == 0;
   }
   // Members of a node, accounting for a short last node.
   [[nodiscard]] int LocalSize(int group_rank) const {
@@ -83,18 +74,15 @@ struct NodeTopology {
     return std::min(ranks_per_node, size - base);
   }
   // True when every node has exactly ranks_per_node members — the
-  // precondition of the equal-shard two-level schedules.
+  // precondition of the equal-shard hpZ/qgZ schedules.
   [[nodiscard]] bool uniform() const {
     return static_cast<int>(members.size()) % ranks_per_node == 0;
   }
 
   [[nodiscard]] std::vector<int> LocalMembers(int group_rank) const;
-  [[nodiscard]] std::vector<int> LeaderMembers() const;
 
   // The calling rank's intra-node group.
   [[nodiscard]] Communicator MakeLocalComm(RankContext& ctx) const;
-  // The cross-node leaders' group; caller must be a leader.
-  [[nodiscard]] Communicator MakeLeadersComm(RankContext& ctx) const;
 
  private:
   [[nodiscard]] int GroupRankOf(int global_rank) const;

@@ -10,7 +10,6 @@
 #include "obs/trace.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/parallel_for.hpp"
-#include "tensor/quantize.hpp"
 
 namespace zero::core {
 
@@ -27,9 +26,7 @@ ZeroDpEngine::ZeroDpEngine(EngineConfig config, model::FlatParamModel& model,
       device_(device),
       host_pool_(host_pool),
       part_(model.layout().total_numel(), dp.size()) {
-  ZERO_CHECK(!cfg_.exact_reductions || !cfg_.fp16,
-             "exact_reductions requires fp32 mode");
-  ZERO_CHECK(cfg_.bucket_elems > 0, "bucket size must be positive");
+  ValidateEngineConfig(cfg_);
   if (cfg_.intra_op_workers > 0) {
     // One engine per rank thread runs concurrently; divide the machine
     // so rank_threads x workers never oversubscribes it. (The worker
@@ -75,21 +72,12 @@ void ZeroDpEngine::InitState(std::uint64_t seed) {
   ctx_.qgz = cfg_.qgz && lossy_ok && nodes_uniform &&
              (cfg_.stage == model::ZeroStage::kOsG ||
               cfg_.stage == model::ZeroStage::kOsGP);
-  ctx_.quant_block =
-      std::clamp<std::int64_t>(cfg_.quant_block, 1, tensor::kMaxQuantBlock);
-  ctx_.hierarchical_allreduce =
-      cfg_.hierarchical_comm && nodes_uniform && !cfg_.exact_reductions;
-  if (ctx_.hierarchical_allreduce || ctx_.hpz || ctx_.qgz) {
-    // Slice the DP group into node-sized blocks: the two-level gradient
-    // all-reduce, the hpZ secondary shard and the qgZ intra-node fold
-    // all run on the local slice (leaders only exist for the former).
+  if (ctx_.hpz || ctx_.qgz) {
+    // Slice the DP group into node-sized blocks: the hpZ secondary shard
+    // and the qgZ intra-node fold run on the local slice.
     comm::NodeTopology topo(*dp_, cfg_.ranks_per_node);
     local_comm_.emplace(topo.MakeLocalComm(dp_->context()));
-    if (ctx_.hierarchical_allreduce && topo.IsLeader(rank())) {
-      leaders_comm_.emplace(topo.MakeLeadersComm(dp_->context()));
-    }
     ctx_.local = &*local_comm_;
-    ctx_.leaders = leaders_comm_.has_value() ? &*leaders_comm_ : nullptr;
     ctx_.node_size = cfg_.ranks_per_node;
   }
   strategy_ = MakeStageStrategy(ctx_);
@@ -100,10 +88,7 @@ void ZeroDpEngine::InitState(std::uint64_t seed) {
                           DType::kF32);
     acc_.FillZero();
   }
-  if (cfg_.dynamic_loss_scale) {
-    ZERO_CHECK(cfg_.fp16, "dynamic loss scaling requires fp16 mode");
-    scaler_.emplace(cfg_.scaler);
-  }
+  if (cfg_.dynamic_loss_scale) scaler_.emplace(cfg_.scaler);
 
   // Optimizer: full for baseline DDP, this rank's partition otherwise.
   // The fp32 master copy is seeded from the *unrounded* initialization —
@@ -124,13 +109,12 @@ void ZeroDpEngine::InitState(std::uint64_t seed) {
       owned_host_.emplace();
       host_pool_ = &*owned_host_;
     }
-    tier_ = alloc::MakeStorageTier(cfg_.offload_tier, host_pool_, device_,
+    tier_ = alloc::MakeStorageTier(cfg_.offload_tier, host_pool_,
                                    cfg_.offload_bandwidth);
     OffloadOptions opts;
     opts.slice_elems = cfg_.offload_slice_elems;
     opts.eager_grads =
         cfg_.offload_eager_grads && cfg_.accumulation_steps == 1;
-    opts.max_inflight_bytes = cfg_.offload_max_inflight_bytes;
     auto offload = std::make_unique<OffloadEngine>(cfg_.adam, *tier_,
                                                    opt_init, opts);
     // Gradient slices stream to the tier as the backward reduction
@@ -141,9 +125,7 @@ void ZeroDpEngine::InitState(std::uint64_t seed) {
 }
 
 const alloc::ChannelStats* ZeroDpEngine::offload_channel_stats() const {
-  return tier_ != nullptr && tier_->channel() != nullptr
-             ? &tier_->channel()->stats()
-             : nullptr;
+  return tier_ != nullptr ? &tier_->channel()->stats() : nullptr;
 }
 
 // ---------------------------------------------------------------------

@@ -119,10 +119,10 @@ class ZeroDpEngine final : public model::ParamProvider, public model::GradSink {
   }
   // Link ledger of the offload tier; null when device-resident.
   [[nodiscard]] const alloc::ChannelStats* offload_channel_stats() const;
-  // The intra-node slice of the DP group; null unless a node-aware
-  // schedule (hierarchical all-reduce, hpZ, qgZ) is active. Its
-  // CommStats ledger is the intra-node traffic the DP ledger no longer
-  // sees — the step report splits measured volume on this boundary.
+  // The intra-node slice of the DP group; null unless hpZ or qgZ is
+  // active. Its CommStats ledger is the intra-node traffic the DP ledger
+  // no longer sees — the step report splits measured volume on this
+  // boundary.
   [[nodiscard]] const comm::Communicator* local_comm() const {
     return local_comm_.has_value() ? &*local_comm_ : nullptr;
   }
@@ -171,11 +171,8 @@ class ZeroDpEngine final : public model::ParamProvider, public model::GradSink {
   Partitioner part_;
   std::int64_t steps_ = 0;
 
-  // Node-aware slices of the DP group (EngineConfig::hierarchical_comm):
-  // this rank's intra-node block, plus the cross-node leaders' group on
-  // local-rank-0 members.
+  // This rank's intra-node block of the DP group (hpZ/qgZ only).
   std::optional<comm::Communicator> local_comm_;
-  std::optional<comm::Communicator> leaders_comm_;
 
   // Per-stage behavior: parameter residency, gradient path, reduction.
   StageContext ctx_;
@@ -186,14 +183,14 @@ class ZeroDpEngine final : public model::ParamProvider, public model::GradSink {
   tensor::Tensor acc_;
   int micro_ = 0;
 
-  // Storage tier behind the optimizer state (device/host/NVMe). Declared
-  // before opt_: the offload engine releases its regions into the tier
-  // on destruction.
+  // Storage tier behind the optimizer state (host/NVMe; null for
+  // kDevice). Declared before opt_: the offload engine releases its
+  // regions into the tier on destruction.
   std::optional<alloc::HostMemory> owned_host_;
   std::unique_ptr<alloc::StorageTier> tier_;
   // Partitioned (stages 1-3) or full (stage 0) optimizer shard:
-  // MixedPrecisionAdam on the device tier, the streaming OffloadEngine
-  // otherwise.
+  // MixedPrecisionAdam on the device (kDevice), the streaming
+  // OffloadEngine otherwise.
   std::unique_ptr<optim::ShardOptimizer> opt_;
 
   std::optional<optim::DynamicLossScaler> scaler_;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <limits>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -53,6 +54,30 @@ void ApplyEnv(EngineConfig& config) {
   }
   if (auto v = EnvString("ZERO_POSTMORTEM")) {
     config.telemetry.postmortem_dir = *v;
+  }
+}
+
+void ValidateEngineConfig(const EngineConfig& config) {
+  if (config.accumulation_steps < 1) {
+    throw ConfigError("accumulation_steps = " +
+                      std::to_string(config.accumulation_steps) +
+                      ": must be >= 1");
+  }
+  if (config.bucket_elems <= 0) {
+    throw ConfigError("bucket_elems = " +
+                      std::to_string(config.bucket_elems) +
+                      ": must be positive");
+  }
+  if (config.prefetch_lookahead < 0) {
+    throw ConfigError("prefetch_lookahead = " +
+                      std::to_string(config.prefetch_lookahead) +
+                      ": must be >= 0");
+  }
+  if (config.exact_reductions && config.fp16) {
+    throw ConfigError("exact_reductions requires fp32 mode (fp16 = false)");
+  }
+  if (config.dynamic_loss_scale && !config.fp16) {
+    throw ConfigError("dynamic_loss_scale requires fp16 mode (fp16 = true)");
   }
 }
 

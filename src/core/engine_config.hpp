@@ -2,7 +2,6 @@
 // dp_engine.hpp and the per-stage strategies in stages/).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -32,7 +31,8 @@ struct EngineConfig {
   // model, so partitioned stages all-reduce their shard norms first.
   float max_grad_norm = 0.0f;
   // Storage tier for the fp32 optimizer state (alloc/tier.hpp +
-  // core/offload_engine.hpp). kDevice keeps the non-offloaded baseline.
+  // core/offload_engine.hpp). kDevice means no tier: the state stays on
+  // the device in optim::MixedPrecisionAdam (the non-offloaded baseline).
   // kHost streams through host DRAM: the optimizer-state offload the
   // paper's Sec 2.2.2 contrasts with and ZeRO-Offload later implemented,
   // removing the K*Psi/Nd term from device memory. kNvme goes through
@@ -51,10 +51,6 @@ struct EngineConfig {
   // backward (record/replay-scheduled, mirroring the prefetcher) rather
   // than at update time. Disabled automatically under accumulation.
   bool offload_eager_grads = true;
-  // Budget for gradient bytes staged ahead of the update; staging
-  // stops (degrading toward blocking at-update transfers) when a slice
-  // would exceed it. 0 = unlimited.
-  std::size_t offload_max_inflight_bytes = 0;
 
   // CB (Sec 6.2): collectives on gradient partitions are issued through
   // a constant-size fused buffer of at most this many elements, rather
@@ -75,24 +71,14 @@ struct EngineConfig {
   // ParamPrefetcher (core/stages/param_prefetcher.hpp) keeps in flight,
   // so AcquireUnit completes an already-launched gather. 0 (default)
   // gathers nothing ahead: each unit is gathered when it is acquired.
-  // Bit-exact at every depth.
+  // Bit-exact at every depth. In-flight units are budgeted at half the
+  // group-wide minimum free device memory (unlimited for heap-backed
+  // state); lookahead degrades toward blocking when the budget is tight.
   int prefetch_lookahead = 0;
-  // Device-memory budget for in-flight prefetched units, in bytes. 0
-  // derives the budget from the group-wide minimum free device memory;
-  // lookahead degrades toward blocking when the budget is tight.
-  std::size_t prefetch_max_bytes = 0;
 
-  // ---- topology-aware collectives ----
-  // Two-level gradient all-reduce (comm/hierarchical.hpp): ring-reduce
-  // inside each block of `ranks_per_node` consecutive DP ranks, then
-  // across block leaders. Applies to the full-gradient all-reduce of the
-  // stage-0 baseline; partitioned stages already reduce shard-wise.
-  // Different bracketing than the flat ring, so NOT bit-exact vs flat
-  // (and ignored when exact_reductions is set).
-  bool hierarchical_comm = false;
-  // DP-group ranks per "node" block. <= 1 means flat; a DP degree that
-  // does not divide evenly falls back to flat for the schedules that
-  // need equal node sizes (hierarchical all-reduce, hpZ, qgZ).
+  // ---- ZeRO++ node size ----
+  // DP-group ranks per "node" block for hpZ and qgZ. <= 1 means flat; a
+  // DP degree that does not divide evenly also leaves both off.
   int ranks_per_node = 1;
 
   // ---- ZeRO++ communication compression (arXiv:2306.10209) ----
@@ -103,7 +89,7 @@ struct EngineConfig {
   // qwZ: parameter all-gathers/broadcasts (stage-3 unit materialization
   // incl. prefetch, stage-1/2 post-update re-gather) ship blockwise int8
   // codes + fp16 scales instead of the fp16 payload (~3.8x fewer bytes
-  // at quant_block 64).
+  // at tensor::kQuantBlock = 64 elements per scale).
   bool qwz = false;
   // hpZ: each rank additionally keeps a secondary fp16 parameter shard
   // partitioned over its intra-node group (ranks_per_node), captured
@@ -117,13 +103,6 @@ struct EngineConfig {
   // Needs ranks_per_node > 1. Different bracketing than the flat path,
   // so NOT bit-exact vs qgz=false.
   bool qgz = false;
-  // Elements per quantization block for qwZ/qgZ (one fp16 scale each).
-  std::int64_t quant_block = 64;
-  // Memory budget for the hpZ secondary shard, in bytes per rank. If the
-  // shard would exceed it, hpZ disables itself uniformly across the
-  // group (the bound is config-derived, so the decision is SPMD-safe).
-  // 0 = unlimited.
-  std::size_t hpz_max_bytes = 0;
 
   // Runtime telemetry: tracing/metrics/step-report switches for the run.
   // Spans are compiled in regardless and cost ~a relaxed atomic load
@@ -161,5 +140,11 @@ struct EngineConfig {
 //   ZERO_POSTMORTEM        telemetry.postmortem_dir
 // A malformed value throws zero::ConfigError naming the variable.
 void ApplyEnv(EngineConfig& config);
+
+// Rejects a config no engine can run, throwing zero::ConfigError naming
+// the field: accumulation_steps < 1, bucket_elems <= 0,
+// prefetch_lookahead < 0, exact_reductions in fp16 mode, or
+// dynamic_loss_scale in fp32 mode. ZeroDpEngine calls it first.
+void ValidateEngineConfig(const EngineConfig& config);
 
 }  // namespace zero::core

@@ -52,13 +52,11 @@ OffloadEngine::~OffloadEngine() {
 }
 
 const alloc::ChannelStats* OffloadEngine::channel_stats() const {
-  const alloc::TransferChannel* ch = tier_->channel();
-  return ch != nullptr ? &ch->stats() : nullptr;
+  return &tier_->channel()->stats();
 }
 
 std::uint64_t OffloadEngine::transfer_bytes() const {
-  const alloc::ChannelStats* s = channel_stats();
-  return s != nullptr ? s->total_bytes() : 0;
+  return channel_stats()->total_bytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -106,19 +104,11 @@ void OffloadEngine::TryLaunchEager() {
     }
     const std::size_t bytes =
         static_cast<std::size_t>(slice_len(s)) * grad_elem_;
-    if (opts_.max_inflight_bytes != 0 &&
-        staged_bytes_ + bytes > opts_.max_inflight_bytes) {
-      static obs::Counter& stops =
-          obs::Metrics().counter("offload.eager_stops");
-      stops.Add();
-      return;
-    }
     {
       TRACE_SPAN("offload/slice_launch");
       slice_req_[su] = tier_->SubmitToTier(bytes);
     }
     staged_[su] = true;
-    staged_bytes_ += bytes;
     ++launch_pos_;
     static obs::Counter& eager =
         obs::Metrics().counter("offload.eager_slices");
@@ -131,12 +121,11 @@ void OffloadEngine::ResetStaging() {
   std::fill(staged_.begin(), staged_.end(), false);
   std::fill(slice_req_.begin(), slice_req_.end(), alloc::TransferRequest{});
   recording_.clear();
-  staged_bytes_ = 0;
   launch_pos_ = 0;
 }
 
 void OffloadEngine::DiscardStagedGradients() {
-  if (staged_bytes_ != 0 || !recording_.empty()) {
+  if (launch_pos_ != 0 || !recording_.empty()) {
     static obs::Counter& discards = obs::Metrics().counter("offload.discards");
     discards.Add();
   }
@@ -297,7 +286,6 @@ void OffloadEngine::PublishMetrics() {
   static obs::Counter& updates = obs::Metrics().counter("offload.updates");
   updates.Add();
   const alloc::ChannelStats* s = channel_stats();
-  if (s == nullptr) return;
   static obs::Counter& to_tier =
       obs::Metrics().counter("offload.bytes_to_tier");
   static obs::Counter& to_device =

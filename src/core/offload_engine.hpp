@@ -17,9 +17,8 @@
 // scheduled by record/replay exactly like ParamPrefetcher: the first
 // update records the order slices become final; later steps launch
 // eager transfers in that order, each held until its slice is actually
-// final (stalls, never skips), and stops early when the staging budget
-// is exhausted — degradation toward blocking at-update transfers, never
-// a correctness change.
+// final (stalls, never skips). A slice not yet staged at update time
+// moves there, blocking — a difference in time, never in bits.
 //
 // Bit-exactness: transfers move bytes verbatim and land at submit time
 // (alloc/tier.hpp), and each slice runs optim::FusedAdamStep, the same
@@ -47,8 +46,6 @@ struct OffloadOptions {
   // Stream gradient slices during backward (requires being installed as
   // the grad-stream sink).
   bool eager_grads = true;
-  // Budget for eagerly staged gradient bytes; 0 = unlimited.
-  std::size_t max_inflight_bytes = 0;
 };
 
 class OffloadEngine final : public optim::ShardOptimizer,
@@ -128,7 +125,6 @@ class OffloadEngine final : public optim::ShardOptimizer,
   std::vector<std::byte> grad_host_;         // staged raw gradient bytes
   std::vector<alloc::TransferRequest> slice_req_;  // eager D2H in flight
   std::vector<bool> staged_;
-  std::size_t staged_bytes_ = 0;
   std::size_t grad_elem_ = 0;  // element width observed this step
 
   // Per-pipeline-slot staging for non-resident tiers.

@@ -17,14 +17,13 @@ void BaselineDdpStrategy::EmitUnitGrad(int u, std::span<const float> grad) {
 void BaselineDdpStrategy::ReduceGradients() {
   CheckUnitsReleased();
   TRACE_SPAN("grads/all_reduce");
-  // All-reduce full gradients in place (node-aware two-level schedule
-  // when hierarchical comm is configured).
+  // All-reduce full gradients in place.
   if (ctx_->cfg->fp16) {
-    ctx_->AllReduceGradSum(grads_.f16());
+    ctx_->dp->AllReduce(grads_.f16(), comm::ReduceOp::kSum);
   } else if (ctx_->cfg->exact_reductions) {
     ctx_->ExactAllReduceSum(grads_.f32());
   } else {
-    ctx_->AllReduceGradSum(grads_.f32());
+    ctx_->dp->AllReduce(grads_.f32(), comm::ReduceOp::kSum);
   }
   // The whole (unpartitioned) gradient buffer is final now.
   ctx_->NotifyGradFinal(0, grads_.numel(),

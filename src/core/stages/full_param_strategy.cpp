@@ -107,7 +107,7 @@ void FullParamStrategy::AllGatherParams() {
       // update overwrites the working copy from the fp32 master, and
       // dequantizing everywhere keeps all replicas bit-identical.
       comm::IQuantAllGather(*ctx_->dp, std::span<const Half>(chunk),
-                            params_.f16(), ctx_->quant_block)
+                            params_.f16(), tensor::kQuantBlock)
           .Wait();
     } else {
       ctx_->dp->AllGather(std::span<const Half>(chunk), params_.f16());

@@ -247,7 +247,7 @@ void GradBucketizer::FlushHier(int j, Segment& seg) {
       const auto [off, len] = ChunkSpan(c);
       (void)off;
       const std::size_t wire =
-          tensor::QuantWireBytes(len, ctx_->quant_block);
+          tensor::QuantWireBytes(len, tensor::kQuantBlock);
       for (std::size_t k = 0; k < nrelays; ++k) {
         const std::size_t idx = static_cast<std::size_t>(c) * nrelays + k;
         h.inter_staging[idx].resize(wire);
@@ -293,11 +293,11 @@ void GradBucketizer::ProgressHier(bool block) {
             // node boundary. The deposit is buffered; the wire vector
             // can die immediately.
             std::vector<std::byte> wire(
-                tensor::QuantWireBytes(len, ctx_->quant_block));
+                tensor::QuantWireBytes(len, tensor::kQuantBlock));
             tensor::QuantizeF32(h.acc32.data() + off, len,
-                                ctx_->quant_block, wire.data());
+                                tensor::kQuantBlock, wire.data());
             comm::nb_detail::WireCounters(static_cast<std::size_t>(len),
-                                          ctx_->quant_block);
+                                          tensor::kQuantBlock);
             (void)ctx_->dp->IsSendBytes(h.partition,
                                         std::span<const std::byte>(wire),
                                         h.inter_tags[ci]);
@@ -320,7 +320,7 @@ void GradBucketizer::ProgressHier(bool block) {
           {
             TRACE_SPAN("grads/qgz_fold");
             tensor::DequantizeAddF32(h.inter_staging[idx].data(), len,
-                                     ctx_->quant_block,
+                                     tensor::kQuantBlock,
                                      h.acc32.data() + off);
           }
           h.inter_staging[idx] = std::vector<std::byte>();

@@ -28,23 +28,13 @@ obs::Counter& DerailCounter() {
 }
 }  // namespace
 
-ParamPrefetcher::ParamPrefetcher(StageContext& ctx,
+ParamPrefetcher::ParamPrefetcher(const StageContext& ctx,
                                  const tensor::Tensor& own_params)
     : ctx_(&ctx),
       own_params_(&own_params),
       lookahead_(ctx.cfg->prefetch_lookahead) {
-  ZERO_CHECK(lookahead_ >= 0, "prefetch_lookahead must be >= 0");
   if (!ctx.hpz) return;
   hpz_part_.emplace(ctx.part->total(), ctx.node_size);
-  const std::size_t bytes =
-      static_cast<std::size_t>(hpz_part_->partition_size()) * sizeof(Half);
-  if (ctx.cfg->hpz_max_bytes > 0 && bytes > ctx.cfg->hpz_max_bytes) {
-    // The secondary shard does not fit the configured budget: degrade
-    // to plain stage 3 on every rank together.
-    ctx.hpz = false;
-    hpz_part_.reset();
-    return;
-  }
   secondary_ = ctx.NewDevice(hpz_part_->partition_size(), DType::kF16);
   secondary_.FillZero();
   unit_captured_.assign(
@@ -94,9 +84,7 @@ void ParamPrefetcher::OnStepEnd() {
 
 void ParamPrefetcher::EnsureBudget() {
   if (budget_ != 0) return;
-  if (ctx_->cfg->prefetch_max_bytes > 0) {
-    budget_ = ctx_->cfg->prefetch_max_bytes;
-  } else if (ctx_->device == nullptr) {
+  if (ctx_->device == nullptr) {
     budget_ = SIZE_MAX;  // heap-backed state: no capacity to respect
   } else {
     // Agree on the group-wide minimum headroom (an SPMD-identical
@@ -149,7 +137,7 @@ ParamPrefetcher::InFlight ParamPrefetcher::Launch(Entry e) {
       if constexpr (std::is_same_v<T, Half>) {
         if (ctx_->qwz && !e.local) {
           inf.reqs.push_back(
-              comm::IQuantBroadcast(group, dst, j, ctx_->quant_block));
+              comm::IQuantBroadcast(group, dst, j, tensor::kQuantBlock));
           continue;
         }
       }

@@ -31,10 +31,11 @@
 //
 // Memory budget. Look-ahead buys overlap with up to `lookahead` extra
 // materialized units of device memory. The budget is agreed group-wide
-// once (min free device memory across ranks, halved; or the explicit
-// EngineConfig::prefetch_max_bytes), and TopUp stops — never skips, so
-// launch order stays schedule order — when the next unit would not fit.
-// With a tight budget every claim launches its own gather.
+// once, at the first replayed step: half the minimum free device memory
+// across ranks, or unlimited when the state is heap-backed. TopUp stops
+// — never skips, so launch order stays schedule order — when the next
+// unit would not fit. With a tight budget every claim launches its own
+// gather.
 //
 // hpZ (ZeRO++, arXiv:2306.10209): a secondary fp16 copy of the
 // parameters, sharded across the intra-node group (1/s per rank, s =
@@ -81,11 +82,9 @@ class ParamPrefetcher {
 
   // `own_params` is the strategy's 1/Nd parameter partition (the local
   // contribution to every gather); must outlive this object. Under
-  // StageContext::hpz this allocates the secondary shard, or turns hpZ
-  // off (ctx.hpz = false) when the shard exceeds
-  // EngineConfig::hpz_max_bytes — a pure function of config and world
-  // shape, so every rank flips together.
-  ParamPrefetcher(StageContext& ctx, const tensor::Tensor& own_params);
+  // StageContext::hpz this allocates the secondary shard on the device
+  // (a DeviceOomError when it does not fit).
+  ParamPrefetcher(const StageContext& ctx, const tensor::Tensor& own_params);
   ~ParamPrefetcher();
   ParamPrefetcher(const ParamPrefetcher&) = delete;
   ParamPrefetcher& operator=(const ParamPrefetcher&) = delete;
@@ -148,7 +147,7 @@ class ParamPrefetcher {
   [[nodiscard]] std::size_t UnitBytes(int u) const;
   void Derail();
 
-  StageContext* ctx_;
+  const StageContext* ctx_;
   const tensor::Tensor* own_params_;
   int lookahead_;
 

@@ -30,7 +30,6 @@
 
 #include "alloc/caching_allocator.hpp"
 #include "comm/communicator.hpp"
-#include "comm/hierarchical.hpp"
 #include "core/engine_config.hpp"
 #include "core/partition.hpp"
 #include "model/flat_model.hpp"
@@ -61,21 +60,14 @@ struct StageContext {
   const EngineConfig* cfg = nullptr;
   model::FlatParamModel* model = nullptr;
   comm::Communicator* dp = nullptr;
-  // Topology-aware slices of `dp` (EngineConfig::hierarchical_comm):
-  // the intra-node block, plus the cross-node leaders' group on
-  // local-rank-0 members only. Null when hierarchical comm is off.
+  // The intra-node block of `dp` (EngineConfig::ranks_per_node) that
+  // hpZ and qgZ run on. Null when neither is active.
   comm::Communicator* local = nullptr;
-  comm::Communicator* leaders = nullptr;
-  // Route the stage-0/1 full-gradient all-reduce through the two-level
-  // node-aware schedule (EngineConfig::hierarchical_comm). `local` alone
-  // no longer implies this: hpZ/qgZ also build node slices.
-  bool hierarchical_allreduce = false;
   // ---- ZeRO++ compression, resolved by the engine (fp16 && !exact
   // reductions && the topology requirements hold; see engine_config) ----
   bool qwz = false;  // int8-quantized parameter gathers/broadcasts
   bool hpz = false;  // secondary intra-node shard for backward gathers
   bool qgz = false;  // hierarchical quantized gradient reduce
-  std::int64_t quant_block = 64;
   // Equal node size backing hpz/qgz (== local->size() when they are on).
   int node_size = 1;
   alloc::CachingAllocator* device = nullptr;  // null => heap-backed state
@@ -113,20 +105,6 @@ struct StageContext {
   // so every stage produces bit-identical sums.
   void ExactReduceToRoot(std::span<float> data, int root);
   void ExactAllReduceSum(std::span<float> data);
-
-  // Full-gradient sum all-reduce, routed through the two-level node-
-  // aware schedule when hierarchical comm is configured (stage-0
-  // baseline path; different bracketing than the flat ring, so only
-  // taken when exactness vs flat is not required).
-  template <typename T>
-  void AllReduceGradSum(std::span<T> data) {
-    if (local != nullptr && hierarchical_allreduce) {
-      comm::HierarchicalAllReduce(*local, leaders, data,
-                                  comm::ReduceOp::kSum);
-    } else {
-      dp->AllReduce(data, comm::ReduceOp::kSum);
-    }
-  }
 };
 
 class StageStrategy {

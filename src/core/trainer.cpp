@@ -87,7 +87,6 @@ TrainResult TrainGpt(const TrainOptions& options) {
   report_in.stage = static_cast<int>(options.engine.stage);
   report_in.nd = options.cluster.dp_degree;
   report_in.fp16 = options.engine.fp16;
-  report_in.quant_block = options.engine.quant_block;
   report_in.ranks_per_node = options.engine.ranks_per_node;
   report_in.world_size = world_size;
   report_in.steps = 0;

@@ -6,6 +6,7 @@
 
 #include "model/transformer_spec.hpp"
 #include "obs/json.hpp"
+#include "tensor/quantize.hpp"
 
 namespace zero::obs {
 
@@ -55,8 +56,7 @@ double PredictedCommBytesPerStep(const StepReportInputs& in) {
       in.nd > 0 ? static_cast<double>(in.nd - 1) / in.nd : 0.0;
   // int8 wire bytes per element: one code byte plus the amortized fp16
   // block scale (exact up to per-message ceil rounding).
-  const double qe =
-      1.0 + 2.0 / static_cast<double>(in.quant_block > 0 ? in.quant_block : 64);
+  const double qe = 1.0 + 2.0 / static_cast<double>(tensor::kQuantBlock);
   // qgZ hierarchical gradient reduce (stages 2-3): only relays cross
   // nodes — each rank owns the relay role for one partition per node
   // and sends (nodes-1) quantized shards on the DP ledger.
@@ -183,8 +183,7 @@ std::string StepReport::ToJson() const {
     zpp.Set("qwz", json::Value(inputs.qwz));
     zpp.Set("hpz", json::Value(inputs.hpz));
     zpp.Set("qgz", json::Value(inputs.qgz));
-    zpp.Set("quant_block",
-            json::Value(static_cast<std::int64_t>(inputs.quant_block)));
+    zpp.Set("quant_block", json::Value(tensor::kQuantBlock));
     zpp.Set("ranks_per_node",
             json::Value(static_cast<std::int64_t>(inputs.ranks_per_node)));
     in.Set("zeropp", std::move(zpp));

@@ -21,7 +21,8 @@
 // the report predicts the rewritten values, so a compressed run still
 // closes with ok=true:
 //   qwZ  parameter gathers ship int8 codes + one fp16 scale per
-//        quant_block elements: e -> 1 + 2/B bytes per element.
+//        B = tensor::kQuantBlock elements: e -> 1 + 2/B bytes per
+//        element.
 //   hpZ  stage-3 backward gathers leave the DP ledger entirely (they
 //        ride the intra-node communicator, reported separately as
 //        local_bytes_per_step).
@@ -97,7 +98,6 @@ struct StepReportInputs {
   bool qwz = false;
   bool hpz = false;
   bool qgz = false;
-  std::int64_t quant_block = 64;  // elements per int8 scale block
   int ranks_per_node = 1;         // node size behind hpZ/qgZ
   // Per-rank intra-node bytes over the same steady-state window (0 when
   // no local communicator existed).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "tensor/quantize.hpp"
 
 namespace zero::sim {
 
@@ -19,7 +20,7 @@ struct DpVolumeSplit {
   [[nodiscard]] double total() const { return grads + fwd + bwd + ag; }
 };
 
-DpVolumeSplit DpVolume(const JobConfig& job, bool compressed) {
+DpVolumeSplit DpVolume(const JobConfig& job) {
   using model::ZeroStage;
   DpVolumeSplit v;
   if (job.dp() <= 1) return v;
@@ -32,15 +33,12 @@ DpVolumeSplit DpVolume(const JobConfig& job, bool compressed) {
   // ZeRO++ gates, mirroring ZeroDpEngine::InitState.
   const bool nodes_ok = job.ranks_per_node > 1 &&
                         job.dp() % job.ranks_per_node == 0;
-  const bool qwz = compressed && job.qwz;
-  const bool hpz = compressed && job.hpz && nodes_ok &&
-                   job.stage == ZeroStage::kOsGP;
-  const bool qgz = compressed && job.qgz && nodes_ok &&
+  const bool qwz = job.qwz;
+  const bool hpz = job.hpz && nodes_ok && job.stage == ZeroStage::kOsGP;
+  const bool qgz = job.qgz && nodes_ok &&
                    (job.stage == ZeroStage::kOsG ||
                     job.stage == ZeroStage::kOsGP);
-  const double qe =
-      1.0 + 2.0 / static_cast<double>(
-                      job.quant_block > 0 ? job.quant_block : 64);
+  const double qe = 1.0 + 2.0 / static_cast<double>(tensor::kQuantBlock);
   v.grads = e * psi;
   if (qgz) {
     // Only the (nodes-1) quantized relay shards cross the DP fabric.
@@ -58,15 +56,9 @@ DpVolumeSplit DpVolume(const JobConfig& job, bool compressed) {
 
 }  // namespace
 
-double DpCompressionScale(const JobConfig& job) {
-  const double plain = DpVolume(job, /*compressed=*/false).total();
-  if (plain <= 0.0) return 1.0;
-  return DpVolume(job, /*compressed=*/true).total() / plain;
-}
-
 double DpOverlapCoefficient(const JobConfig& job) {
   if (job.stage != model::ZeroStage::kOsGP || job.dp() <= 1) return 1.0;
-  const DpVolumeSplit v = DpVolume(job, /*compressed=*/true);
+  const DpVolumeSplit v = DpVolume(job);
   if (v.total() <= 0.0) return 1.0;
   // Gradient traffic and backward gathers hide behind the bucketizer;
   // forward gathers hide only as far as the prefetcher pipelines them
@@ -170,7 +162,7 @@ ThroughputEstimate EstimateThroughput(const ClusterSpec& cluster,
     // MP) without ZeRO's bucketized compute overlap.
     if (job.stage == model::ZeroStage::kNone && mp == 1) overlap = 0.0;
     overlap *= DpOverlapCoefficient(job);
-    const double volume = DpVolume(job, /*compressed=*/true).total();
+    const double volume = DpVolume(job).total();
     dp_time = volume / cluster.DpBandwidth();
   }
   out.dp_comm_s = std::max(0.0, dp_time - overlap * out.compute_s);

@@ -43,18 +43,9 @@ double Efficiency(const ClusterSpec& cluster, const JobConfig& job);
 double OptimizerOffloadBytesPerStep(const JobConfig& job);
 
 // Exposed (non-overlapped) off-device transfer seconds per step: Pa+cpu
-// checkpoint slices over PCIe, plus the optimizer-tier stream. One
-// definition shared by the analytic model and the simulated-network
-// bridge (they previously carried duplicate copies of this formula).
+// checkpoint slices over PCIe, plus the optimizer-tier stream.
 double ExposedOffloadSeconds(const ClusterSpec& cluster, const JobConfig& job,
                              double compute_s);
-
-// ZeRO++ rewrite of the per-rank DP wire volume: the ratio of the job's
-// compressed volume to the same job with qwz/hpz/qgz cleared (1.0 when
-// no flag engages — the gates mirror ZeroDpEngine::InitState). Shared by
-// the analytic model and the packet-level bridge so both price
-// compression identically.
-double DpCompressionScale(const JobConfig& job);
 
 // Multiplier on cluster.dp_overlap: 1.0 for stages 0-2; for stage 3 the
 // volume-weighted overlap split — gradient traffic and backward gathers

@@ -43,7 +43,6 @@ struct JobConfig {
   bool qwz = false;              // int8 parameter gathers
   bool hpz = false;              // intra-node secondary param shard (stage 3)
   bool qgz = false;              // hierarchical int8 gradient reduce
-  std::int64_t quant_block = 64;
   int ranks_per_node = 1;
 
   [[nodiscard]] int dp() const { return gpus / mp; }

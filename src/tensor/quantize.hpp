@@ -32,6 +32,10 @@
 
 namespace zero::tensor {
 
+// Elements per quantization block on the ZeRO++ wire (qwZ parameter
+// gathers, qgZ gradient relays): one fp16 scale per 64 codes.
+inline constexpr std::int64_t kQuantBlock = 64;
+
 // Largest supported quantization block (bounds the on-stack fp32
 // staging buffer used by the fp16 entry points).
 inline constexpr std::int64_t kMaxQuantBlock = 4096;

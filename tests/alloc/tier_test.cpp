@@ -70,23 +70,9 @@ TEST(TransferChannelTest, TransfersQueueFifoBehindEachOther) {
   EXPECT_TRUE(second.done());
 }
 
-TEST(DeviceTierTest, HeapBackedRegionsAreAddressableAndLinkless) {
-  DeviceTier tier(nullptr);
-  EXPECT_EQ(tier.kind(), TierKind::kDevice);
-  EXPECT_EQ(tier.channel(), nullptr);
-  const std::size_t rg = tier.CreateRegion(64);
-  const std::span<std::byte> bytes = tier.ResidentBytes(rg);
-  ASSERT_EQ(bytes.size(), 64u);
-  for (std::byte b : bytes) EXPECT_EQ(b, std::byte{0});
-  EXPECT_TRUE(tier.SubmitToTier(128).done());
-  EXPECT_TRUE(tier.SubmitToDevice(128).done());
-  tier.ReleaseRegion(rg);
-  EXPECT_THROW((void)tier.ResidentBytes(rg), Error);
-}
-
 TEST(HostTierTest, RegionsLiveInThePoolAndTrafficIsLedgered) {
   HostMemory pool("alloc.host");
-  auto tier = MakeStorageTier(TierKind::kHost, &pool, nullptr, 0.0);
+  auto tier = MakeStorageTier(TierKind::kHost, &pool, 0.0);
   EXPECT_EQ(tier->kind(), TierKind::kHost);
   ASSERT_NE(tier->channel(), nullptr);
 
@@ -132,7 +118,7 @@ TEST(HostTierTest, DestructorReleasesOutstandingRegions) {
 }
 
 TEST(NvmeTierTest, NotHostAddressableButRoundTripsThroughStaging) {
-  auto tier = MakeStorageTier(TierKind::kNvme, nullptr, nullptr, 0.0);
+  auto tier = MakeStorageTier(TierKind::kNvme, nullptr, 0.0);
   EXPECT_EQ(tier->kind(), TierKind::kNvme);
   const std::size_t rg = tier->CreateRegion(96);
   // The contract the offload engine's staging path keys off:
@@ -159,8 +145,14 @@ TEST(NvmeTierTest, NotHostAddressableButRoundTripsThroughStaging) {
 }
 
 TEST(MakeStorageTierTest, HostTierRequiresAPool) {
-  EXPECT_THROW((void)MakeStorageTier(TierKind::kHost, nullptr, nullptr, 0.0),
+  EXPECT_THROW((void)MakeStorageTier(TierKind::kHost, nullptr, 0.0),
                Error);
+}
+
+TEST(MakeStorageTierTest, DeviceKindHasNoTier) {
+  // kDevice keeps the optimizer state on the device (the engine builds
+  // MixedPrecisionAdam), so there is no storage tier to make.
+  EXPECT_THROW((void)MakeStorageTier(TierKind::kDevice, nullptr, 0.0), Error);
 }
 
 TEST(TierKindNameTest, NamesMatchTheEnvGrammar) {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-
-#include "comm/hierarchical.hpp"
 #include "comm/world.hpp"
 #include "common/error.hpp"
 
@@ -72,10 +69,7 @@ TEST(NodeTopologyTest, ShapesAndMembership) {
     EXPECT_EQ(topo.ranks_per_node, 4);
     EXPECT_EQ(topo.NodeIndex(5), 1);
     EXPECT_EQ(topo.LocalRank(5), 1);
-    EXPECT_TRUE(topo.IsLeader(4));
-    EXPECT_FALSE(topo.IsLeader(5));
     EXPECT_EQ(topo.LocalMembers(6), (std::vector<int>{4, 5, 6, 7}));
-    EXPECT_EQ(topo.LeaderMembers(), (std::vector<int>{0, 4}));
   });
 }
 
@@ -95,15 +89,10 @@ TEST(NodeTopologyTest, UnevenWorldDegradesToRaggedTailNode) {
     EXPECT_EQ(topo.LocalSize(3), 1);
     EXPECT_EQ(topo.LocalMembers(1), (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(topo.LocalMembers(3), (std::vector<int>{3}));
-    EXPECT_TRUE(topo.IsLeader(3));
-    EXPECT_EQ(topo.LeaderMembers(), (std::vector<int>{0, 3}));
     // Sliced communicators still function over the ragged shape: the
-    // tail node's "local" collective is a self-group no-op and the
-    // leaders' group carries the cross-node combine.
+    // tail node's "local" collective is a self-group no-op.
     Communicator local = topo.MakeLocalComm(ctx);
     EXPECT_EQ(local.size(), ctx.rank < 3 ? 3 : 1);
-    std::optional<Communicator> leaders;
-    if (topo.IsLeader(dp.rank())) leaders.emplace(topo.MakeLeadersComm(ctx));
     std::vector<float> v{static_cast<float>(ctx.rank + 1)};
     local.AllReduce(std::span<float>(v), ReduceOp::kSum);
     EXPECT_EQ(v[0], ctx.rank < 3 ? 6.0f : 4.0f);
@@ -114,11 +103,10 @@ TEST(NodeTopologyTest, SingleRankNodesAndOversizedNodes) {
   World world(4);
   world.Run([&](RankContext& ctx) {
     Communicator dp = Communicator::WholeWorld(ctx);
-    // ranks_per_node = 1: every rank is its own (leader) node.
+    // ranks_per_node = 1: every rank is its own node.
     NodeTopology fine(dp, 1);
     EXPECT_EQ(fine.nodes, 4);
     EXPECT_TRUE(fine.uniform());
-    EXPECT_TRUE(fine.IsLeader(ctx.rank));
     EXPECT_EQ(fine.LocalMembers(ctx.rank), (std::vector<int>{ctx.rank}));
     // ranks_per_node > world: one node holds everyone; clipping keeps
     // membership inside the group.
@@ -128,29 +116,6 @@ TEST(NodeTopologyTest, SingleRankNodesAndOversizedNodes) {
     EXPECT_EQ(coarse.LocalSize(ctx.rank), 4);
     EXPECT_EQ(coarse.LocalMembers(ctx.rank), (std::vector<int>{0, 1, 2, 3}));
     EXPECT_THROW(NodeTopology(dp, 0), Error);
-  });
-}
-
-TEST(NodeTopologyTest, HierarchicalAllReduceOverSlicedComms) {
-  // 2 nodes x 2 ranks: local reduce-scatter, leaders all-reduce, local
-  // all-gather must equal the flat sum.
-  World world(4);
-  world.Run([&](RankContext& ctx) {
-    Communicator dp = Communicator::WholeWorld(ctx);
-    NodeTopology topo(dp, 2);
-    Communicator local = topo.MakeLocalComm(ctx);
-    std::optional<Communicator> leaders;
-    if (topo.IsLeader(dp.rank())) leaders.emplace(topo.MakeLeadersComm(ctx));
-    std::vector<float> v(6);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = static_cast<float>(ctx.rank * 10 + static_cast<int>(i));
-    }
-    HierarchicalAllReduce(local, leaders.has_value() ? &*leaders : nullptr,
-                          std::span<float>(v), ReduceOp::kSum);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      // Sum over ranks 0..3 of (r*10 + i) = 60 + 4i.
-      EXPECT_EQ(v[i], 60.0f + 4.0f * static_cast<float>(i));
-    }
   });
 }
 
@@ -166,13 +131,12 @@ TEST(NodeTopologyTest, SlicesOfSubgroupCommunicator) {
     Communicator sub(ctx, half, /*group_id=*/ctx.rank < 4 ? 1 : 2);
     NodeTopology topo(sub, 2);
     Communicator local = topo.MakeLocalComm(ctx);
-    std::optional<Communicator> leaders;
-    if (topo.IsLeader(sub.rank())) leaders.emplace(topo.MakeLeadersComm(ctx));
+    const int node_base = ctx.rank / 2 * 2;
+    EXPECT_EQ(local.members(), (std::vector<int>{node_base, node_base + 1}));
     std::vector<float> v{static_cast<float>(ctx.rank)};
-    HierarchicalAllReduce(local, leaders.has_value() ? &*leaders : nullptr,
-                          std::span<float>(v), ReduceOp::kSum);
-    // Each half sums its own ranks: 0+1+2+3=6, 4+5+6+7=22.
-    EXPECT_EQ(v[0], ctx.rank < 4 ? 6.0f : 22.0f);
+    local.AllReduce(std::span<float>(v), ReduceOp::kSum);
+    // Each node sums its own pair: {0,1} -> 1, {2,3} -> 5, ...
+    EXPECT_EQ(v[0], static_cast<float>(2 * node_base + 1));
   });
 }
 

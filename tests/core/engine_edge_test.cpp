@@ -2,7 +2,10 @@
 // capacity boundaries, and protocol misuse.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "comm/world.hpp"
+#include "common/error.hpp"
 #include "core/dp_engine.hpp"
 #include "model/quad_model.hpp"
 
@@ -148,15 +151,51 @@ TEST(EngineEdgeTest, BucketSizeOneStillCorrect) {
   });
 }
 
-TEST(EngineEdgeTest, RejectsZeroBucket) {
+// ValidateEngineConfig runs first in the engine's constructor: a config
+// no engine can run throws ConfigError naming the offending field.
+void ExpectConfigError(const EngineConfig& cfg, const std::string& field) {
   comm::World world(1);
   world.Run([&](comm::RankContext& ctx) {
     comm::Communicator dp = comm::Communicator::WholeWorld(ctx);
     model::QuadModel m(8, 2);
-    EngineConfig cfg;
-    cfg.bucket_elems = 0;
-    EXPECT_THROW(ZeroDpEngine(cfg, m, dp, nullptr, 1), Error);
+    try {
+      ZeroDpEngine engine(cfg, m, dp, nullptr, 1);
+      ADD_FAILURE() << "expected ConfigError naming " << field;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
   });
+}
+
+TEST(EngineEdgeTest, RejectsZeroBucket) {
+  EngineConfig cfg;
+  cfg.bucket_elems = 0;
+  ExpectConfigError(cfg, "bucket_elems");
+}
+
+TEST(EngineEdgeTest, RejectsNonPositiveAccumulationSteps) {
+  // ApplyUpdate divides by accumulation_steps: 0 would turn every
+  // parameter NaN, and a negative count would flip the update's sign.
+  for (int steps : {0, -1}) {
+    EngineConfig cfg;
+    cfg.accumulation_steps = steps;
+    ExpectConfigError(cfg, "accumulation_steps");
+  }
+}
+
+TEST(EngineEdgeTest, RejectsNegativePrefetchLookahead) {
+  EngineConfig cfg;
+  cfg.stage = ZeroStage::kOsGP;
+  cfg.prefetch_lookahead = -1;
+  ExpectConfigError(cfg, "prefetch_lookahead");
+}
+
+TEST(EngineEdgeTest, RejectsDynamicLossScaleInFp32) {
+  EngineConfig cfg;
+  cfg.fp16 = false;
+  cfg.dynamic_loss_scale = true;
+  ExpectConfigError(cfg, "dynamic_loss_scale");
 }
 
 TEST(EngineEdgeTest, ManyUnitsPerPartition) {

@@ -311,7 +311,7 @@ TEST(EngineTest, RejectsExactReductionsWithFp16) {
     EngineConfig cfg;
     cfg.fp16 = true;
     cfg.exact_reductions = true;
-    EXPECT_THROW(ZeroDpEngine(cfg, m, dp, nullptr, 3), Error);
+    EXPECT_THROW(ZeroDpEngine(cfg, m, dp, nullptr, 3), ConfigError);
   });
 }
 

@@ -6,7 +6,6 @@
 
 #include "sim/cost_model.hpp"
 #include "sim/memory_model.hpp"
-#include "sim/netsim_bridge.hpp"
 #include "sim/search.hpp"
 
 namespace zero::sim {
@@ -158,8 +157,7 @@ TEST(OffloadCostModelTest, ExposedTimeShrinksWithComputeToOverlap) {
 
 TEST(OffloadCostModelTest, ThroughputChargesTheExposedStream) {
   // EstimateThroughput's offload_s is exactly the shared helper's
-  // answer — the analytic model and the netsim bridge no longer carry
-  // separate copies of this formula.
+  // answer.
   ClusterSpec cluster;
   JobConfig job = TrillionJob(OffloadTier::kNvme);
   const ThroughputEstimate none =
@@ -173,23 +171,6 @@ TEST(OffloadCostModelTest, ThroughputChargesTheExposedStream) {
               nvme.compute_s + nvme.mp_comm_s + nvme.dp_comm_s +
                   nvme.offload_s,
               1e-12);
-}
-
-TEST(OffloadCostModelTest, NetsimBridgeAgreesWithTheAnalyticOffloadTerm) {
-  // With overlap off, the stream is fully exposed in both models — the
-  // dedup'd helper is the single source of the offload term.
-  ClusterSpec cluster;
-  cluster.optimizer_offload_overlap = 0.0;
-  JobConfig job = TrillionJob(OffloadTier::kNvme);
-  const ThroughputEstimate analytic = EstimateThroughput(cluster, job);
-  const ThroughputEstimate simulated =
-      EstimateThroughputSimulatedNetwork(cluster, job);
-  ASSERT_GT(analytic.offload_s, 0.0);
-  EXPECT_DOUBLE_EQ(analytic.offload_s,
-                   OptimizerOffloadBytesPerStep(job) / cluster.nvme_bw);
-  EXPECT_DOUBLE_EQ(simulated.offload_s,
-                   ExposedOffloadSeconds(cluster, job, simulated.compute_s));
-  EXPECT_DOUBLE_EQ(simulated.offload_s, analytic.offload_s);
 }
 
 }  // namespace
